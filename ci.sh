@@ -183,7 +183,6 @@ for path in sys.argv[1:]:
         "kernel/block/columns",
         "kernel/block/simd",
         "engine/warm-mmap/threads=1",
-        "engine/warm-mmap/populate",
         "engine/frontier/warm",
         "engine/frontier/per-point-recompute",
         "engine/calibrate/warm",

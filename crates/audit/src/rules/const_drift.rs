@@ -40,7 +40,6 @@ pub const PINNED_CONSTS: &[(&str, &str)] = &[
     ("ROW_KERNEL_LEGACY", BENCH_SCHEMA),
     ("ROW_KERNEL_BLOCK_SIMD", BENCH_SCHEMA),
     ("ROW_ENGINE_WARM_MMAP", BENCH_SCHEMA),
-    ("ROW_ENGINE_WARM_MMAP_POPULATE", BENCH_SCHEMA),
     ("ROW_FRONTIER_WARM", BENCH_SCHEMA),
     ("ROW_FRONTIER_RECOMPUTE", BENCH_SCHEMA),
     ("ROW_CALIBRATE_WARM", BENCH_SCHEMA),
@@ -87,11 +86,6 @@ pub const PINNED_LITERALS: &[(&str, &str, &str)] = &[
     (
         "engine/warm-mmap/threads=1",
         "ROW_ENGINE_WARM_MMAP",
-        BENCH_SCHEMA,
-    ),
-    (
-        "engine/warm-mmap/populate",
-        "ROW_ENGINE_WARM_MMAP_POPULATE",
         BENCH_SCHEMA,
     ),
     ("engine/frontier/warm", "ROW_FRONTIER_WARM", BENCH_SCHEMA),
@@ -298,7 +292,6 @@ mod tests {
                  pub const ROW_KERNEL_LEGACY: &str = \"kernel/legacy-per-n/columns\";\n\
                  pub const ROW_KERNEL_BLOCK_SIMD: &str = \"kernel/block/simd\";\n\
                  pub const ROW_ENGINE_WARM_MMAP: &str = \"engine/warm-mmap/threads=1\";\n\
-                 pub const ROW_ENGINE_WARM_MMAP_POPULATE: &str = \"engine/warm-mmap/populate\";\n\
                  pub const ROW_STEM_ENGINE: &str = \"engine\";\n\
                  pub const ROW_STEM_SESSION: &str = \"engine/session\";\n\
                  pub const ROW_STEM_SERVE: &str = \"engine/serve\";\n\

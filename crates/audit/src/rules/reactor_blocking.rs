@@ -24,9 +24,18 @@
 //!
 //! Calls that leave the serve crate (the engine's `poll_completions`,
 //! `submit_work`, …) are out of this rule's scope; the cross-crate
-//! contract — completions are *polled*, admission is budget-gated so the
-//! pipeline gate never parks the reactor — is documented in DESIGN.md
-//! ("Concurrency invariants") and held by the engine's own audit rules.
+//! contract is documented in DESIGN.md ("Concurrency invariants") and
+//! held by the engine's own audit rules:
+//!
+//! - completions are *polled* (`try_recv` after an eventfd wakeup),
+//!   never waited on;
+//! - `FairBudget` is the daemon's only admission decision. The daemon
+//!   has one executor team whose depth equals the budget's capacity,
+//!   every ticket on it holds a permit (a connection holds one per
+//!   pending request, not per distinct wire id), and an executor frees
+//!   a ticket's team slot before its completion (and so its permit) can
+//!   be observed. The team's gate therefore never binds, and the
+//!   reactor never blocks in `submit_work`.
 //!
 //! Allowlist format, one justified site per line:
 //!

@@ -4,13 +4,12 @@
 //!
 //! 1. **Allowlist**: the `unsafe` keyword may appear only in the modules
 //!    whose invariants are documented in DESIGN.md ("Unsafe inventory &
-//!    invariants"): `engine/pool.rs` (disjoint shared-slab column writes
-//!    plus the `sched_setaffinity` NUMA-pinning FFI), `engine/cache.rs`
-//!    (mmap-served spill tier plus the `madvise` huge-page hints),
+//!    invariants"): `engine/pool.rs` (disjoint shared-slab column
+//!    writes), `engine/cache.rs` (mmap-served spill tier),
 //!    `engine/signal.rs` (the `signal(2)` handler the serve daemon's
 //!    SIGTERM drain polls), `serve/reactor.rs` (the serve daemon's
-//!    vendored `epoll`/`poll` readiness shim and `eventfd`/self-pipe
-//!    wakeup), and the `zeroconf-simd` crate's two modules
+//!    vendored `epoll` readiness shim and `eventfd` wakeup), and the
+//!    `zeroconf-simd` crate's two modules
 //!    (`simd/lib.rs` dispatch into `target_feature` wrappers,
 //!    `simd/lanes.rs` intrinsic lane kernels). Anywhere else it is a
 //!    finding — new unsafe code must either move there or extend this

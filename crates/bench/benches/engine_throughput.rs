@@ -107,40 +107,6 @@ fn warm_mmap(samples: usize, request: &SweepRequest) -> BenchRecord {
     record
 }
 
-/// The mmap-served warm sweep with the `populate` knob on: spill mappings
-/// are created with `MAP_POPULATE` (pre-faulted at map time, outside the
-/// timed region on the priming pass) and carry `MADV_HUGEPAGE` advice.
-/// Same shape as [`warm_mmap`] otherwise, so the two rows isolate the
-/// memory-placement knobs.
-fn warm_mmap_populate(samples: usize, request: &SweepRequest) -> BenchRecord {
-    let dir = std::env::temp_dir().join(format!("zeroconf-bench-populate-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    {
-        let writer = Engine::new(EngineConfig {
-            cache_dir: Some(dir.clone()),
-            ..config(1)
-        });
-        writer.evaluate(request).expect("spill sweep evaluates");
-    }
-    let engine = Engine::new(EngineConfig {
-        cache_dir: Some(dir.clone()),
-        mmap_spills: true,
-        populate: true,
-        ..config(1)
-    });
-    engine.evaluate(request).expect("priming sweep evaluates");
-    assert_eq!(
-        engine.stats().cache_misses,
-        0,
-        "every table must be served from a spill mapping, not recomputed"
-    );
-    let record = measure(schema::ROW_ENGINE_WARM_MMAP_POPULATE, samples, || {
-        engine.evaluate(request).expect("sweep evaluates")
-    });
-    let _ = std::fs::remove_dir_all(&dir);
-    record
-}
-
 /// Blocked batch kernel, cold: each iteration batch-computes every
 /// π-table ([`ColumnBlockKernel::pi_table_block`], with the zero-tail
 /// cutoff, into one flat slab) and then evaluates the whole grid in one
@@ -471,7 +437,6 @@ fn main() {
         (warm(1, samples, &request), 1, "warm"),
         (warm(pool, samples, &request), pool, "warm"),
         (warm_mmap(samples, &request), 1, "warm-mmap"),
-        (warm_mmap_populate(samples, &request), 1, "warm-mmap"),
     ];
     // The SIMD row's note pins the dispatched backend, so a scalar-clamped
     // run on a host without AVX2 is visible in the artifact.
@@ -582,10 +547,6 @@ fn main() {
     println!(
         "  warm mmap (1 thread) vs warm in-memory: {:.2}x",
         speedup(&grid_runs[2].0, &grid_runs[4].0)
-    );
-    println!(
-        "  warm mmap populated vs plain warm mmap: {:.2}x",
-        speedup(&grid_runs[4].0, &grid_runs[5].0)
     );
     println!(
         "  block kernel (incl. pi) vs cold engine (1 thread): {:.2}x",

@@ -63,10 +63,10 @@ pub fn measure<T>(id: &str, samples: usize, mut f: impl FnMut() -> T) -> BenchRe
     let mut per_iter: Vec<f64> = Vec::with_capacity(samples);
     for _ in 0..samples.max(1) {
         // One discarded warmup iteration per sample: the timed loop then
-        // starts from warm caches and TLBs, so low-iteration rows (e.g.
-        // `engine/warm-mmap/populate`, where calibration picks a handful
-        // of iterations) report steady-state throughput instead of
-        // averaging a cold first iteration into every sample.
+        // starts from warm caches and TLBs, so low-iteration rows (where
+        // calibration picks a handful of iterations) report steady-state
+        // throughput instead of averaging a cold first iteration into
+        // every sample.
         black_box(f());
         let start = Instant::now();
         for _ in 0..iters {

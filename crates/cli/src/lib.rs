@@ -11,7 +11,7 @@
 //! zeroconf calibrate <network flags> --target-probes 4 --target-listen 2
 //! zeroconf simulate  <scenario flags> --probes 4 --listen 2 --trials 100000 --seed 7
 //! zeroconf engine    [--workers N] [--cache N] [--cache-dir PATH] [--inflight N]
-//!                    [--kernel scalar|simd|auto] [--populate] [--stats]
+//!                    [--kernel scalar|simd|auto] [--stats]
 //!                    # JSON-lines on stdin/stdout
 //! zeroconf serve     (--tcp ADDR | --unix PATH)... [--inflight N] [--max-conns N]
 //!                    # socket daemon: many clients, one shared engine
@@ -169,18 +169,16 @@ struct EngineOptions {
     cache_tables: usize,
     cache_dir: Option<std::path::PathBuf>,
     mmap_spills: bool,
-    populate: bool,
     kernel: zeroconf_engine::KernelChoice,
     inflight: usize,
     emit_stats: bool,
 }
 
 fn engine_options(args: &[String]) -> Result<EngineOptions, CliError> {
-    // `--stats`, `--mmap` and `--populate` are bare switches; strip them
-    // before the value-flag parser.
+    // `--stats` and `--mmap` are bare switches; strip them before the
+    // value-flag parser.
     let mut emit_stats = false;
     let mut mmap_spills = false;
-    let mut populate = false;
     let positional: Vec<String> = args
         .iter()
         .filter(|a| match a.as_str() {
@@ -190,10 +188,6 @@ fn engine_options(args: &[String]) -> Result<EngineOptions, CliError> {
             }
             "--mmap" => {
                 mmap_spills = true;
-                false
-            }
-            "--populate" => {
-                populate = true;
                 false
             }
             _ => true,
@@ -222,7 +216,6 @@ fn engine_options(args: &[String]) -> Result<EngineOptions, CliError> {
             .map_or(defaults.cache_tables, |c| c as usize),
         cache_dir: flags.get("cache-dir").map(std::path::PathBuf::from),
         mmap_spills,
-        populate,
         kernel: parse_kernel_flag(flags.get("kernel"))?,
         inflight: flags.number("inflight")?.map_or(1, |n| n as usize),
         emit_stats,
@@ -260,7 +253,6 @@ pub fn engine_process(input: &str, args: &[String]) -> Result<String, CliError> 
         cache_tables: options.cache_tables.max(1),
         cache_dir: options.cache_dir.clone(),
         mmap_spills: options.mmap_spills,
-        populate: options.populate,
         kernel: options.kernel,
         ..zeroconf_engine::EngineConfig::default()
     });
@@ -383,9 +375,9 @@ pub fn usage() -> String {
      \u{20}  calibrate: --target-probes N --target-listen R\n\
      \u{20}  optimize: [--n-max N] [--r-max R]\n\
      \u{20}  engine: [--workers N] [--cache TABLES] [--cache-dir PATH] [--mmap]\n\
-     \u{20}          [--populate] [--kernel scalar|simd|auto] [--inflight N] [--stats]\n\
+     \u{20}          [--kernel scalar|simd|auto] [--inflight N] [--stats]\n\
      \u{20}  serve: (--tcp ADDR | --unix PATH)... [--workers N] [--cache TABLES]\n\
-     \u{20}         [--cache-dir PATH] [--mmap] [--populate] [--kernel scalar|simd|auto]\n\
+     \u{20}         [--cache-dir PATH] [--mmap] [--kernel scalar|simd|auto]\n\
      \u{20}         [--inflight N] [--max-conns N]\n\
      \u{20}  audit: [--deny-warnings] [--json] [--root PATH]\n\
      example:\n\

@@ -305,26 +305,6 @@ pub(crate) mod disk {
 
         pub(super) const PROT_READ: i32 = 0x1;
         pub(super) const MAP_PRIVATE: i32 = 0x2;
-        /// Linux `MAP_POPULATE`: pre-fault the whole mapping at `mmap`
-        /// time so the first sweep over a warm spill takes no page-fault
-        /// storm. Other platforms have no equivalent flag — requesting
-        /// population there just maps normally.
-        #[cfg(target_os = "linux")]
-        pub(super) const MAP_POPULATE: i32 = 0x8000;
-
-        /// The `mmap` flag word for a private read-only spill mapping,
-        /// with pre-faulting folded in where the platform supports it.
-        pub(super) fn map_flags(populate: bool) -> i32 {
-            #[cfg(target_os = "linux")]
-            {
-                MAP_PRIVATE | if populate { MAP_POPULATE } else { 0 }
-            }
-            #[cfg(not(target_os = "linux"))]
-            {
-                let _ = populate;
-                MAP_PRIVATE
-            }
-        }
 
         pub(super) fn map_failed() -> *mut c_void {
             usize::MAX as *mut c_void
@@ -409,13 +389,7 @@ pub(crate) mod disk {
     /// Maps a spilled table covering at least `n_max + 1` entries,
     /// read-only and zero-copy. Same miss semantics as [`load`].
     #[cfg(all(unix, target_endian = "little", target_pointer_width = "64"))]
-    pub(super) fn map(
-        path: &Path,
-        fingerprint: u64,
-        r_bits: u64,
-        n_max: u32,
-        populate: bool,
-    ) -> Option<MmapSlab> {
+    pub(super) fn map(path: &Path, fingerprint: u64, r_bits: u64, n_max: u32) -> Option<MmapSlab> {
         use std::os::unix::io::AsRawFd;
 
         let file = fs::File::open(path).ok()?;
@@ -424,9 +398,7 @@ pub(crate) mod disk {
             return None;
         }
         // SAFETY: plain read-only private mapping of an open fd with the
-        // file's exact length; no requested address, zero offset.
-        // `MAP_POPULATE` (when requested and available) only pre-faults —
-        // it changes no visibility or aliasing property. The fd stays
+        // file's exact length; no requested address, zero offset. The fd stays
         // open across the call and may close after — the mapping keeps
         // the inode alive on its own.
         let base = unsafe {
@@ -434,7 +406,7 @@ pub(crate) mod disk {
                 std::ptr::null_mut(),
                 len,
                 sys::PROT_READ,
-                sys::map_flags(populate),
+                sys::MAP_PRIVATE,
                 file.as_raw_fd(),
                 0,
             )
@@ -448,11 +420,6 @@ pub(crate) mod disk {
             mapped: len,
             count: 0,
         };
-        if populate {
-            // Huge-page advice for the slab the kernel will now scan
-            // repeatedly; the mapping is already page-aligned.
-            super::advise_huge_raw(slab.base, len);
-        }
         // SAFETY: `len >= SPILL_HEADER_LEN` was checked above, so the
         // first header's worth of mapped bytes is readable; u8 has no
         // alignment requirement.
@@ -488,80 +455,9 @@ pub(crate) mod disk {
         _fingerprint: u64,
         _r_bits: u64,
         _n_max: u32,
-        _populate: bool,
     ) -> Option<MmapSlab> {
         None
     }
-}
-
-/// Linux `madvise` for transparent-huge-page hints; see
-/// [`advise_huge_raw`]. Kept separate from `disk::sys` because the hint
-/// also serves heap slabs (the sufficient-statistic landscape), not just
-/// spill mappings.
-#[cfg(target_os = "linux")]
-mod hugepage {
-    use std::ffi::c_void;
-
-    /// `MADV_HUGEPAGE` from `<linux/mman.h>`.
-    pub(super) const MADV_HUGEPAGE: i32 = 14;
-    /// `_SC_PAGESIZE` on Linux.
-    const SC_PAGESIZE: i32 = 30;
-
-    extern "C" {
-        pub(super) fn madvise(addr: *mut c_void, len: usize, advice: i32) -> i32;
-        fn sysconf(name: i32) -> i64;
-    }
-
-    /// The system page size, defaulting to 4 KiB if the query fails.
-    pub(super) fn page_size() -> usize {
-        // SAFETY: `sysconf` is a side-effect-free query taking only an
-        // integer selector.
-        let raw = unsafe { sysconf(SC_PAGESIZE) };
-        if raw > 0 {
-            raw as usize
-        } else {
-            4096
-        }
-    }
-}
-
-/// Advises the kernel to back `[addr, addr + len)` with transparent huge
-/// pages, best effort. `madvise` requires a page-aligned start, so the
-/// range is shrunk inward to whole pages; ranges smaller than a page do
-/// nothing, and every platform without the hint is a no-op. Advice never
-/// alters memory contents, so this is safe to call on any live
-/// allocation.
-pub(crate) fn advise_huge_raw(addr: *mut u8, len: usize) {
-    #[cfg(target_os = "linux")]
-    {
-        let page = hugepage::page_size();
-        let start = addr as usize;
-        let end = start.saturating_add(len);
-        let lo = start.next_multiple_of(page);
-        let hi = end & !(page - 1);
-        if hi <= lo {
-            return;
-        }
-        // SAFETY: `[lo, hi)` lies strictly inside the caller's live
-        // `[addr, addr + len)` allocation (aligned inward to page
-        // bounds), and `MADV_HUGEPAGE` is pure advice — it cannot change
-        // or unmap the range. Failure (old kernel, THP disabled) is
-        // deliberately ignored.
-        let _ = unsafe { hugepage::madvise(lo as *mut _, hi - lo, hugepage::MADV_HUGEPAGE) };
-    }
-    #[cfg(not(target_os = "linux"))]
-    {
-        let _ = (addr, len);
-    }
-}
-
-/// [`advise_huge_raw`] over an `f64` slab — the form the engine uses for
-/// the sufficient-statistic landscape buffers.
-pub(crate) fn advise_huge_f64(slab: &[f64]) {
-    advise_huge_raw(
-        slab.as_ptr().cast_mut().cast::<u8>(),
-        std::mem::size_of_val(slab),
-    );
 }
 
 /// The cache plus its lifetime hit/miss counters, shared between the
@@ -572,20 +468,12 @@ pub(crate) struct SharedCache {
     dir: Option<PathBuf>,
     /// Serve warm disk hits from read-only mappings instead of copying.
     mmap_spills: bool,
-    /// Pre-fault spill mappings (`MAP_POPULATE`) and give them huge-page
-    /// advice; see [`crate::EngineConfig::populate`].
-    populate: bool,
     hits: AtomicU64,
     misses: AtomicU64,
 }
 
 impl SharedCache {
-    pub(crate) fn new(
-        capacity: usize,
-        dir: Option<PathBuf>,
-        mmap_spills: bool,
-        populate: bool,
-    ) -> SharedCache {
+    pub(crate) fn new(capacity: usize, dir: Option<PathBuf>, mmap_spills: bool) -> SharedCache {
         if let Some(dir) = &dir {
             // Best effort, like all spill IO: an uncreatable directory
             // just means every disk probe misses.
@@ -595,7 +483,6 @@ impl SharedCache {
             inner: Mutex::new(PiCache::new(capacity)),
             dir,
             mmap_spills,
-            populate,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
@@ -613,7 +500,7 @@ impl SharedCache {
         let dir = self.dir.as_ref()?;
         let path = disk::table_path(dir, key.0, key.1);
         if self.mmap_spills {
-            if let Some(slab) = disk::map(&path, key.0, key.1, n_max, self.populate) {
+            if let Some(slab) = disk::map(&path, key.0, key.1, n_max) {
                 return Some(PiTableRef::Mapped(Arc::new(slab)));
             }
         }
@@ -769,7 +656,7 @@ mod tests {
 
     #[test]
     fn second_lookup_hits() {
-        let cache = SharedCache::new(8, None, false, false);
+        let cache = SharedCache::new(8, None, false);
         let (t1, hit1) = cache.get_or_compute(7, 2.0, 4, || table(4)).unwrap();
         let (t2, hit2) = cache.get_or_compute(7, 2.0, 4, || table(4)).unwrap();
         assert!(!hit1);
@@ -781,7 +668,7 @@ mod tests {
 
     #[test]
     fn different_r_or_fingerprint_misses() {
-        let cache = SharedCache::new(8, None, false, false);
+        let cache = SharedCache::new(8, None, false);
         cache.get_or_compute(7, 2.0, 4, || table(4)).unwrap();
         let (_, hit) = cache.get_or_compute(7, 3.0, 4, || table(4)).unwrap();
         assert!(!hit);
@@ -791,7 +678,7 @@ mod tests {
 
     #[test]
     fn short_table_is_a_miss_and_longer_replaces_it() {
-        let cache = SharedCache::new(8, None, false, false);
+        let cache = SharedCache::new(8, None, false);
         cache.get_or_compute(1, 1.0, 4, || table(4)).unwrap();
         // Needs n = 9, resident table only covers 4: recompute.
         let (t, hit) = cache.get_or_compute(1, 1.0, 9, || table(9)).unwrap();
@@ -824,7 +711,7 @@ mod tests {
 
     #[test]
     fn eviction_drops_least_recently_used() {
-        let cache = SharedCache::new(2, None, false, false);
+        let cache = SharedCache::new(2, None, false);
         cache.get_or_compute(1, 1.0, 2, || table(2)).unwrap();
         cache.get_or_compute(2, 1.0, 2, || table(2)).unwrap();
         // Touch key 1 so key 2 is the LRU.
@@ -845,7 +732,7 @@ mod tests {
 
     #[test]
     fn compute_errors_propagate_and_cache_nothing() {
-        let cache = SharedCache::new(4, None, false, false);
+        let cache = SharedCache::new(4, None, false);
         let r: Result<(PiTableRef, bool), &str> = cache.get_or_compute(5, 1.0, 2, || Err("boom"));
         assert_eq!(r.unwrap_err(), "boom");
         assert_eq!(cache.len(), 0);
@@ -854,7 +741,7 @@ mod tests {
 
     #[test]
     fn block_fetch_computes_only_the_missing_columns() {
-        let cache = SharedCache::new(16, None, false, false);
+        let cache = SharedCache::new(16, None, false);
         cache.get_or_compute(9, 2.0, 4, || table(4)).unwrap();
         let rs = [1.0, 2.0, 3.0];
         let (tables, hits, misses) = cache
@@ -879,7 +766,7 @@ mod tests {
 
     #[test]
     fn count_resident_does_not_disturb_recency_or_counters() {
-        let cache = SharedCache::new(8, None, false, false);
+        let cache = SharedCache::new(8, None, false);
         cache.get_or_compute(3, 1.0, 4, || table(4)).unwrap();
         let (hits, misses) = (cache.hits(), cache.misses());
         assert_eq!(cache.count_resident(3, &[1.0, 2.0], 4), 1);
@@ -892,13 +779,13 @@ mod tests {
         let dir = scratch("spill");
         let reference = table(4).unwrap();
         {
-            let cache = SharedCache::new(8, Some(dir.clone()), false, false);
+            let cache = SharedCache::new(8, Some(dir.clone()), false);
             let (_, hit) = cache.get_or_compute(7, 2.0, 4, || table(4)).unwrap();
             assert!(!hit);
         }
         // A fresh cache (new process, in spirit) loads from disk: a hit,
         // with bit-identical floats and no compute.
-        let cache = SharedCache::new(8, Some(dir.clone()), false, false);
+        let cache = SharedCache::new(8, Some(dir.clone()), false);
         let (t, hit) = cache
             .get_or_compute(7, 2.0, 4, || -> Result<Vec<f64>, ()> {
                 panic!("disk hit must not recompute")
@@ -923,10 +810,10 @@ mod tests {
         let dir = scratch("mmap");
         let reference = table(6).unwrap();
         {
-            let cache = SharedCache::new(8, Some(dir.clone()), true, false);
+            let cache = SharedCache::new(8, Some(dir.clone()), true);
             cache.get_or_compute(7, 2.0, 6, || table(6)).unwrap();
         }
-        let cache = SharedCache::new(8, Some(dir.clone()), true, false);
+        let cache = SharedCache::new(8, Some(dir.clone()), true);
         let (t, hit) = cache
             .get_or_compute(7, 2.0, 6, || -> Result<Vec<f64>, ()> {
                 panic!("mapped hit must not recompute")
@@ -957,10 +844,10 @@ mod tests {
     fn longest_wins_upgrade_is_safe_while_a_shorter_table_is_mapped() {
         let dir = scratch("upgrade-mapped");
         {
-            let cache = SharedCache::new(8, Some(dir.clone()), true, false);
+            let cache = SharedCache::new(8, Some(dir.clone()), true);
             cache.get_or_compute(7, 2.0, 4, || table(4)).unwrap();
         }
-        let cache = SharedCache::new(8, Some(dir.clone()), true, false);
+        let cache = SharedCache::new(8, Some(dir.clone()), true);
         let (short, hit) = cache
             .get_or_compute(7, 2.0, 4, || -> Result<Vec<f64>, ()> { unreachable!() })
             .unwrap();
@@ -969,7 +856,7 @@ mod tests {
         // Another cache (another process, in spirit) upgrades the spill
         // while `short` is still mapped.
         {
-            let other = SharedCache::new(8, Some(dir.clone()), true, false);
+            let other = SharedCache::new(8, Some(dir.clone()), true);
             let (long, hit) = other.get_or_compute(7, 2.0, 9, || table(9)).unwrap();
             assert!(!hit, "short spill cannot serve n_max = 9");
             assert_eq!(long.len(), 10);
@@ -1019,7 +906,7 @@ mod tests {
         ] {
             std::fs::write(&path, &bytes).unwrap();
             for mmap_spills in [false, true] {
-                let cache = SharedCache::new(8, Some(dir.clone()), mmap_spills, false);
+                let cache = SharedCache::new(8, Some(dir.clone()), mmap_spills);
                 let (t, hit) = cache.get_or_compute(7, 2.0, 4, || table(4)).unwrap();
                 assert!(!hit, "{what} must be a miss (mmap = {mmap_spills})");
                 assert_eq!(t.len(), 5);
@@ -1031,10 +918,10 @@ mod tests {
         // The recompute path replaces a corrupt file with a valid one.
         std::fs::write(&path, b"garbage!").unwrap();
         {
-            let cache = SharedCache::new(8, Some(dir.clone()), true, false);
+            let cache = SharedCache::new(8, Some(dir.clone()), true);
             cache.get_or_compute(7, 2.0, 4, || table(4)).unwrap();
         }
-        let cache = SharedCache::new(8, Some(dir.clone()), true, false);
+        let cache = SharedCache::new(8, Some(dir.clone()), true);
         let (_, hit) = cache.get_or_compute(7, 2.0, 4, || table(4)).unwrap();
         assert!(hit, "recompute upgraded the corrupt spill");
         let _ = std::fs::remove_dir_all(&dir);
@@ -1048,7 +935,7 @@ mod tests {
         let dir = scratch("fuzz");
         let key_r = r_key(3.5);
         {
-            let cache = SharedCache::new(8, Some(dir.clone()), false, false);
+            let cache = SharedCache::new(8, Some(dir.clone()), false);
             cache.get_or_compute(11, 3.5, 7, || table(7)).unwrap();
         }
         let path = dir.join(format!("pi-{:016x}-{key_r:016x}.tbl", 11u64));
@@ -1068,7 +955,7 @@ mod tests {
             mutated[at] ^= bit;
             std::fs::write(&path, &mutated).unwrap();
             for mmap_spills in [false, true] {
-                let cache = SharedCache::new(8, Some(dir.clone()), mmap_spills, false);
+                let cache = SharedCache::new(8, Some(dir.clone()), mmap_spills);
                 // Must not panic; hit or miss are both acceptable.
                 let (t, _) = cache.get_or_compute(11, 3.5, 7, || table(7)).unwrap();
                 assert!(t.len() >= 8);
@@ -1076,7 +963,7 @@ mod tests {
             // Truncations of the mutant must not panic either.
             let cut = (next() as usize) % mutated.len();
             std::fs::write(&path, &mutated[..cut]).unwrap();
-            let cache = SharedCache::new(8, Some(dir.clone()), true, false);
+            let cache = SharedCache::new(8, Some(dir.clone()), true);
             let (t, _) = cache.get_or_compute(11, 3.5, 7, || table(7)).unwrap();
             assert!(t.len() >= 8);
             // Restore the valid spill for the next round (the recompute
@@ -1090,13 +977,13 @@ mod tests {
     fn too_short_spill_is_recomputed_and_upgraded() {
         let dir = scratch("upgrade");
         {
-            let cache = SharedCache::new(8, Some(dir.clone()), false, false);
+            let cache = SharedCache::new(8, Some(dir.clone()), false);
             cache.get_or_compute(7, 2.0, 4, || table(4)).unwrap();
         }
         // A bigger sweep can't use the 5-entry spill: recompute, and the
         // longer table replaces the file.
         {
-            let cache = SharedCache::new(8, Some(dir.clone()), false, false);
+            let cache = SharedCache::new(8, Some(dir.clone()), false);
             let (t, hit) = cache.get_or_compute(7, 2.0, 9, || table(9)).unwrap();
             assert!(!hit);
             assert_eq!(t.len(), 10);
@@ -1104,7 +991,7 @@ mod tests {
         // A later *small* sweep must still find the long table — the
         // shorter spill never clobbers it (longest wins on disk too).
         {
-            let cache = SharedCache::new(8, Some(dir.clone()), false, false);
+            let cache = SharedCache::new(8, Some(dir.clone()), false);
             let (t, hit) = cache.get_or_compute(7, 2.0, 4, || table(4)).unwrap();
             assert!(hit);
             assert_eq!(t.len(), 10, "disk kept the longer table");
@@ -1117,7 +1004,7 @@ mod tests {
         // A path that cannot be a directory (it's a file) must not error.
         let dir = scratch("notadir");
         std::fs::write(&dir, b"occupied").unwrap();
-        let cache = SharedCache::new(8, Some(dir.clone()), true, false);
+        let cache = SharedCache::new(8, Some(dir.clone()), true);
         let (_, hit) = cache.get_or_compute(7, 2.0, 4, || table(4)).unwrap();
         assert!(!hit);
         let (_, hit) = cache.get_or_compute(7, 2.0, 4, || table(4)).unwrap();

@@ -86,7 +86,8 @@ use zeroconf_simd::Backend;
 pub use zeroconf_simd::KernelChoice;
 
 pub use pipeline::{
-    Completion, CompletionNotifier, Pipeline, PipelineConfig, PipelineStats, RequestId,
+    Completion, CompletionNotifier, ExecutorTeam, Pipeline, PipelineConfig, PipelineStats,
+    RequestId,
 };
 pub use request::{
     AxisSpec, BatchStats, CalibrateRequest, CalibrateRequestBuilder, CalibrateResponse, Cell,
@@ -133,12 +134,6 @@ pub struct EngineConfig {
     /// environment variable. Results are bit-identical across choices;
     /// this is purely a speed/diagnostics knob.
     pub kernel: KernelChoice,
-    /// Pre-fault and huge-page-hint the warm memory path: spill-file
-    /// mappings are created with `MAP_POPULATE` and advised
-    /// `MADV_HUGEPAGE`, and the sufficient-statistic slabs behind
-    /// parametric verbs get the same huge-page advice. Off by default;
-    /// a silent no-op on platforms without those hints.
-    pub populate: bool,
 }
 
 impl Default for EngineConfig {
@@ -152,7 +147,6 @@ impl Default for EngineConfig {
             mmap_spills: false,
             small_sweep_cells: 65_536,
             kernel: KernelChoice::Auto,
-            populate: false,
         }
     }
 }
@@ -161,9 +155,8 @@ impl Default for EngineConfig {
 ///
 /// This is the single error surface of the crate: wire-protocol failures
 /// ([`WireError`]) and cost-model failures ([`CostError`]) both convert
-/// into it, so [`wire::Session`], [`wire::PipelinedSession`] and
-/// [`Pipeline`] all return one type and the wire encoder stringifies an
-/// error exactly once.
+/// into it, so [`wire::PipelinedSession`] and [`Pipeline`] both return
+/// one type and the wire encoder stringifies an error exactly once.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum EngineError {
@@ -258,9 +251,6 @@ pub struct Engine {
     /// `backend` and can only go down (a distribution without a
     /// vectorized batch honestly reports scalar).
     dist_floor: AtomicU8,
-    /// Whether sufficient-statistic slabs get huge-page advice
-    /// ([`EngineConfig::populate`]).
-    populate: bool,
     /// Single-slot cache of the most recent sufficient-statistic
     /// landscape, keyed by distribution fingerprint (the grid is compared
     /// against the landscape itself). A warm parametric verb skips even
@@ -364,12 +354,10 @@ impl Engine {
                 config.cache_tables,
                 config.cache_dir,
                 config.mmap_spills,
-                config.populate,
             )),
             small_sweep_cells: config.small_sweep_cells.max(1),
             backend,
             dist_floor: AtomicU8::new(backend as u8),
-            populate: config.populate,
             landscape: Mutex::new(None),
             ewma_cell_nanos: AtomicU64::new(0),
             ewma_pi_ratio: AtomicU64::new(0),
@@ -642,14 +630,6 @@ impl Engine {
             .pi_prefix
             .expect("statistic job fills the π-prefix slab");
         let pi_n = buffers.pi_n.expect("statistic job fills the π_n slab");
-        if self.populate {
-            // The statistic slabs are re-scanned by every parametric verb
-            // over their whole length; huge pages cut the TLB cost of
-            // those scans. Advice only — placement already happened at
-            // first touch.
-            cache::advise_huge_f64(&pi_prefix);
-            cache::advise_huge_f64(&pi_n);
-        }
         let landscape = Arc::new(ParamLandscape::from_parts(
             grid.n_max,
             grid.r_values.clone(),

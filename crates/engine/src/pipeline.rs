@@ -4,19 +4,31 @@
 //! The blocking [`Engine::evaluate`] call answers one sweep at a time;
 //! serving many concurrent clients (the paper's multi-host regime, and
 //! the repeated re-evaluation workload of the incremental-verification
-//! literature) wants several sweeps in flight at once. A [`Pipeline`]
-//! provides exactly that without an async runtime:
+//! literature) wants several sweeps in flight at once. Two types provide
+//! exactly that without an async runtime:
+//!
+//! - An [`ExecutorTeam`] is the shareable part: one ticket queue, a small
+//!   team of executor threads pulling tickets off it and evaluating them
+//!   on the shared engine, and the depth gate bounding how many tickets
+//!   the whole team holds. The engine's work-stealing pool and π-table
+//!   cache are common to every in-flight request, and a short sweep
+//!   submitted after a long one finishes *first*.
+//! - A [`Pipeline`] is one submitter's handle on a team: its request ids,
+//!   its completion channel, its cancel tokens, its counters and its
+//!   completion notifier. Every ticket carries its handle's reply side, so
+//!   many handles share one team and each still sees only its own
+//!   completions and statistics. [`Pipeline::new`] builds a private team
+//!   with one handle; [`Pipeline::attach`] joins an existing team (one
+//!   team per `zeroconf serve` daemon, one handle per connection).
+//!
+//! The handle's lifecycle:
 //!
 //! - [`Pipeline::submit`] enqueues a validated [`SweepRequest`] and
 //!   returns a [`RequestId`] immediately ([`Pipeline::submit_work`] does
 //!   the same for any [`WorkRequest`] verb — sweep, calibrate or
-//!   frontier). The queue depth is bounded: once `depth` requests are in
-//!   flight, `submit` **blocks** until one completes (backpressure, not
+//!   frontier). The team's depth is bounded: once `depth` tickets are in
+//!   the team, `submit` **blocks** until one completes (backpressure, not
 //!   unbounded buffering).
-//! - A small team of executor threads pulls tickets off the queue and
-//!   evaluates them on the shared engine — so the engine's work-stealing
-//!   pool and π-table cache are common to every in-flight request, and a
-//!   short sweep submitted after a long one finishes *first*.
 //! - [`Pipeline::poll_completions`] / [`Pipeline::next_completion`] hand
 //!   back [`Completion`]s in **finish order**, each tagged with its
 //!   [`RequestId`] and per-request latency counters (queue wait and
@@ -26,13 +38,13 @@
 //!   boundary (see [`CancelToken`]), and either way the request completes
 //!   with [`EngineError::Cancelled`] — no id is ever lost.
 //! - [`Pipeline::drain`] blocks until every in-flight request has
-//!   completed; dropping the pipeline joins the executors after they
-//!   finish the queue (graceful shutdown — queued work is never abandoned
-//!   mid-evaluation).
+//!   completed; dropping the last handle on a team joins the executors
+//!   after they finish the queue (graceful shutdown — queued work is never
+//!   abandoned mid-evaluation).
 //!
-//! Everything is `std`: one `mpsc` channel in, one out, a mutex-condvar
-//! gate for the depth bound. The wire-protocol front-end in
-//! [`crate::wire`] is a thin codec over this type.
+//! Everything is `std`: one `mpsc` channel into the team, one out per
+//! handle, a mutex-condvar gate for the depth bound. The wire-protocol
+//! front-end in [`crate::wire`] is a thin codec over this type.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -43,11 +55,12 @@ use std::time::Instant;
 
 use crate::{CancelToken, Engine, EngineError, SweepRequest, WorkRequest, WorkResponse};
 
-/// Pipeline construction parameters.
+/// Executor-team construction parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PipelineConfig {
-    /// Maximum requests in flight (submitted but not yet completed).
-    /// Further `submit` calls block until a slot frees: backpressure.
+    /// Maximum tickets in the team (submitted but not yet completed),
+    /// across every handle. Further `submit` calls block until a slot
+    /// frees: backpressure.
     pub depth: usize,
     /// Executor threads evaluating requests concurrently. More executors
     /// than `depth` is pointless; fewer serializes some of the queue.
@@ -77,15 +90,15 @@ impl PipelineConfig {
 }
 
 /// A callback executor threads invoke right after a [`Completion`] lands
-/// in the channel. Readiness-driven consumers (the `zeroconf serve`
-/// reactor) register one to get woken — typically by writing to an
-/// eventfd or self-pipe — instead of polling the pipeline on a timer.
-/// The callback runs on an executor thread, so it must be cheap and
-/// must never block on the consumer side.
+/// in its handle's channel. Readiness-driven consumers (the `zeroconf
+/// serve` reactor) register one to get woken — typically by writing to
+/// an eventfd — instead of polling the pipeline on a timer. The callback
+/// runs on an executor thread, so it must be cheap and must never block
+/// on the consumer side.
 pub type CompletionNotifier = Arc<dyn Fn() + Send + Sync>;
 
-/// Identifier of one submitted request, unique within its [`Pipeline`].
-/// Completions are keyed by it; submission order is `id` order.
+/// Identifier of one submitted request, unique within its [`Pipeline`]
+/// handle. Completions are keyed by it; submission order is `id` order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct RequestId(pub u64);
 
@@ -110,8 +123,9 @@ pub struct Completion {
     pub service_nanos: u64,
 }
 
-/// Pipeline-lifetime counters, including the per-request latency
-/// aggregates reported by the CLI's `--stats`.
+/// Handle-lifetime counters, including the per-request latency
+/// aggregates reported by the CLI's `--stats`. Each [`Pipeline`] handle
+/// counts only its own requests, even on a shared team.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PipelineStats {
     /// Requests accepted by `submit`.
@@ -132,17 +146,28 @@ pub struct PipelineStats {
     pub service_nanos_max: u64,
 }
 
-/// One queued request.
+/// One queued request, carrying the reply side of the handle that
+/// submitted it.
 struct Ticket {
     id: RequestId,
     request: WorkRequest,
     token: CancelToken,
     submitted: Instant,
+    reply: Arc<Reply>,
+}
+
+/// The executor-facing half of one [`Pipeline`] handle: where its
+/// completions go and what they update.
+struct Reply {
+    done: Sender<Completion>,
+    tokens: Mutex<HashMap<RequestId, CancelToken>>,
+    counters: Counters,
+    notifier: Mutex<Option<CompletionNotifier>>,
 }
 
 /// The in-flight counter and its condvar: `acquire` blocks submitters at
-/// the depth bound, `release` (called by executors *after* the completion
-/// is in the channel) wakes them.
+/// the depth bound, `release` (called by executors once a ticket is
+/// answered) wakes them.
 struct Gate {
     in_flight: Mutex<usize>,
     freed: Condvar,
@@ -153,13 +178,6 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 impl Gate {
-    fn new() -> Gate {
-        Gate {
-            in_flight: Mutex::new(0),
-            freed: Condvar::new(),
-        }
-    }
-
     fn acquire(&self, depth: usize) {
         let mut n = lock(&self.in_flight);
         while *n >= depth {
@@ -173,6 +191,13 @@ impl Gate {
         *n -= 1;
         self.freed.notify_all();
     }
+}
+
+/// What the executor threads share: the ticket receiver (std mpsc
+/// receivers are single-consumer, hence the mutex) and the depth gate.
+struct Queue {
+    tickets: Mutex<Receiver<Ticket>>,
+    gate: Gate,
 }
 
 /// Executor-side counters (atomics; read via [`Pipeline::stats`]).
@@ -206,8 +231,96 @@ impl Counters {
     }
 }
 
-/// The pipelined front-end over one shared [`Engine`]. See the module
-/// docs for the lifecycle; the one-line version:
+/// The shareable half of a pipeline: one ticket queue, the executor
+/// threads draining it onto one [`Engine`], and the depth gate bounding
+/// the tickets of every attached [`Pipeline`] handle together. Executors
+/// are spawned by [`ExecutorTeam::new`] and joined when the last `Arc`
+/// drops, after they finish everything already queued.
+pub struct ExecutorTeam {
+    engine: Arc<Engine>,
+    depth: usize,
+    queue: Arc<Queue>,
+    /// `None` only during drop: closing it ends the executor loops.
+    sender: Option<Sender<Ticket>>,
+    executors: Vec<JoinHandle<()>>,
+}
+
+impl std::fmt::Debug for ExecutorTeam {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ExecutorTeam")
+            .field("depth", &self.depth)
+            .field("executors", &self.executors.len())
+            .finish()
+    }
+}
+
+impl ExecutorTeam {
+    /// Builds a team over `engine`, spawning `config.executors` executor
+    /// threads (clamped to `1..=depth`).
+    #[must_use]
+    pub fn new(engine: Arc<Engine>, config: PipelineConfig) -> Arc<ExecutorTeam> {
+        let depth = config.depth.max(1);
+        let (sender, receiver) = channel::<Ticket>();
+        let queue = Arc::new(Queue {
+            tickets: Mutex::new(receiver),
+            gate: Gate {
+                in_flight: Mutex::new(0),
+                freed: Condvar::new(),
+            },
+        });
+        let executors = (0..config.executors.clamp(1, depth))
+            .map(|i| {
+                let queue = Arc::clone(&queue);
+                let engine = Arc::clone(&engine);
+                std::thread::Builder::new()
+                    .name(format!("zeroconf-pipeline-{i}"))
+                    .spawn(move || executor_loop(&queue, &engine))
+                    .expect("spawning a pipeline executor thread")
+            })
+            .collect();
+        Arc::new(ExecutorTeam {
+            engine,
+            depth,
+            queue,
+            sender: Some(sender),
+            executors,
+        })
+    }
+
+    /// The engine every ticket of this team evaluates on.
+    #[must_use]
+    pub fn engine(&self) -> &Engine {
+        &self.engine
+    }
+
+    /// The team-wide depth bound.
+    #[must_use]
+    pub fn depth(&self) -> usize {
+        self.depth
+    }
+
+    /// Tickets on the team right now, every handle's together: queued
+    /// or executing, not yet released by an executor (observability
+    /// only — racy by nature).
+    #[must_use]
+    pub fn in_flight(&self) -> usize {
+        *lock(&self.queue.gate.in_flight)
+    }
+}
+
+impl Drop for ExecutorTeam {
+    fn drop(&mut self) {
+        // Closing the queue ends the executor loops *after* they finish
+        // everything already enqueued: graceful drain on shutdown.
+        self.sender = None;
+        for handle in self.executors.drain(..) {
+            let _ = handle.join();
+        }
+    }
+}
+
+/// One submitter's handle on an [`ExecutorTeam`]. See the module docs
+/// for the lifecycle; the one-line version:
 ///
 /// ```
 /// use zeroconf_engine::{Engine, EngineConfig, GridSpec, Pipeline, PipelineConfig, SweepRequest};
@@ -224,103 +337,74 @@ impl Counters {
 /// # }
 /// ```
 pub struct Pipeline {
-    engine: Arc<Engine>,
-    depth: usize,
+    team: Arc<ExecutorTeam>,
     next_id: u64,
     /// Submitted requests whose completion this side has not yet
     /// received. Maintained entirely by the consumer thread, so checking
     /// it against zero is race-free (unlike the gate, which executors
     /// release asynchronously).
     outstanding: usize,
-    queue: Option<Sender<Ticket>>,
     completions: Receiver<Completion>,
-    gate: Arc<Gate>,
-    tokens: Arc<Mutex<HashMap<RequestId, CancelToken>>>,
-    counters: Arc<Counters>,
-    notifier: Arc<Mutex<Option<CompletionNotifier>>>,
-    executors: Vec<JoinHandle<()>>,
+    reply: Arc<Reply>,
 }
 
 impl std::fmt::Debug for Pipeline {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Pipeline")
-            .field("depth", &self.depth)
-            .field("executors", &self.executors.len())
+            .field("team", &self.team)
             .field("in_flight", &self.in_flight())
             .finish()
     }
 }
 
 impl Pipeline {
-    /// Builds a pipeline over `engine`, spawning `config.executors`
-    /// executor threads.
+    /// Builds a private team over `engine` (spawning `config.executors`
+    /// executor threads) with this handle as its only submitter.
     #[must_use]
     pub fn new(engine: Arc<Engine>, config: PipelineConfig) -> Pipeline {
-        let depth = config.depth.max(1);
-        let executor_count = config.executors.clamp(1, depth);
-        let (queue_tx, queue_rx) = channel::<Ticket>();
-        let (done_tx, done_rx) = channel::<Completion>();
-        let queue_rx = Arc::new(Mutex::new(queue_rx));
-        let gate = Arc::new(Gate::new());
-        let tokens: Arc<Mutex<HashMap<RequestId, CancelToken>>> =
-            Arc::new(Mutex::new(HashMap::new()));
-        let counters = Arc::new(Counters::default());
-        let notifier: Arc<Mutex<Option<CompletionNotifier>>> = Arc::new(Mutex::new(None));
-        let executors = (0..executor_count)
-            .map(|i| {
-                let queue_rx = Arc::clone(&queue_rx);
-                let engine = Arc::clone(&engine);
-                let done_tx = done_tx.clone();
-                let gate = Arc::clone(&gate);
-                let tokens = Arc::clone(&tokens);
-                let counters = Arc::clone(&counters);
-                let notifier = Arc::clone(&notifier);
-                std::thread::Builder::new()
-                    .name(format!("zeroconf-pipeline-{i}"))
-                    .spawn(move || {
-                        executor_loop(
-                            &queue_rx, &engine, &done_tx, &gate, &tokens, &counters, &notifier,
-                        );
-                    })
-                    .expect("spawning a pipeline executor thread")
-            })
-            .collect();
+        Pipeline::attach(ExecutorTeam::new(engine, config))
+    }
+
+    /// A new handle on `team`: its own ids, completions, cancel tokens,
+    /// counters and notifier, sharing the team's executors and depth.
+    #[must_use]
+    pub fn attach(team: Arc<ExecutorTeam>) -> Pipeline {
+        let (done, completions) = channel::<Completion>();
         Pipeline {
-            engine,
-            depth,
+            team,
             next_id: 0,
             outstanding: 0,
-            queue: Some(queue_tx),
-            completions: done_rx,
-            gate,
-            tokens,
-            counters,
-            notifier,
-            executors,
+            completions,
+            reply: Arc::new(Reply {
+                done,
+                tokens: Mutex::new(HashMap::new()),
+                counters: Counters::default(),
+                notifier: Mutex::new(None),
+            }),
         }
     }
 
     /// Registers `notifier`, to be invoked by an executor thread each time
-    /// a completion becomes pollable (replacing any previous notifier).
-    /// See [`CompletionNotifier`] for the contract.
+    /// a completion of this handle becomes pollable (replacing any
+    /// previous notifier). See [`CompletionNotifier`] for the contract.
     pub fn set_completion_notifier(&self, notifier: CompletionNotifier) {
-        *lock(&self.notifier) = Some(notifier);
+        *lock(&self.reply.notifier) = Some(notifier);
     }
 
     /// The engine shared by every request of this pipeline.
     #[must_use]
     pub fn engine(&self) -> &Engine {
-        &self.engine
+        self.team.engine()
     }
 
-    /// The configured depth bound.
+    /// The team's depth bound.
     #[must_use]
     pub fn depth(&self) -> usize {
-        self.depth
+        self.team.depth()
     }
 
-    /// Requests currently in flight: submitted, completion not yet
-    /// retrieved by [`Pipeline::poll_completions`] /
+    /// Requests of this handle currently in flight: submitted, completion
+    /// not yet retrieved by [`Pipeline::poll_completions`] /
     /// [`Pipeline::next_completion`].
     #[must_use]
     pub fn in_flight(&self) -> usize {
@@ -328,7 +412,7 @@ impl Pipeline {
     }
 
     /// Validates and enqueues one sweep, returning its id immediately.
-    /// Blocks while `depth` requests are already in flight.
+    /// Blocks while the team already holds `depth` tickets.
     ///
     /// # Errors
     ///
@@ -339,9 +423,9 @@ impl Pipeline {
     }
 
     /// Validates and enqueues any engine verb — sweep, calibrate or
-    /// frontier — returning its id immediately. Blocks while `depth`
-    /// requests are already in flight. The completion carries the
-    /// matching [`WorkResponse`] variant.
+    /// frontier — returning its id immediately. Blocks while the team
+    /// already holds `depth` tickets. The completion carries the matching
+    /// [`WorkResponse`] variant.
     ///
     /// # Errors
     ///
@@ -349,25 +433,30 @@ impl Pipeline {
     /// eagerly, before consuming an in-flight slot.
     pub fn submit_work(&mut self, request: WorkRequest) -> Result<RequestId, EngineError> {
         request.validate()?;
-        self.gate.acquire(self.depth);
+        self.team.queue.gate.acquire(self.team.depth);
         self.outstanding += 1;
         let id = RequestId(self.next_id);
         self.next_id += 1;
         let token = CancelToken::new();
-        lock(&self.tokens).insert(id, token.clone());
+        lock(&self.reply.tokens).insert(id, token.clone());
         // ORDERING: statistics tally; the ticket itself travels through
         // the channel, which does the synchronizing.
-        self.counters.submitted.fetch_add(1, Ordering::Relaxed);
-        self.queue
+        self.reply
+            .counters
+            .submitted
+            .fetch_add(1, Ordering::Relaxed);
+        self.team
+            .sender
             .as_ref()
-            .expect("queue sender lives until drop")
+            .expect("queue sender lives until the team drops")
             .send(Ticket {
                 id,
                 request,
                 token,
                 submitted: Instant::now(),
+                reply: Arc::clone(&self.reply),
             })
-            .expect("pipeline executors outlive the pipeline");
+            .expect("team executors outlive every handle");
         Ok(id)
     }
 
@@ -377,7 +466,7 @@ impl Pipeline {
     /// never lose an id — unless evaluation already finished, in which
     /// case the ordinary completion stands.
     pub fn cancel(&self, id: RequestId) -> bool {
-        match lock(&self.tokens).get(&id) {
+        match lock(&self.reply.tokens).get(&id) {
             Some(token) => {
                 token.cancel();
                 true
@@ -407,7 +496,7 @@ impl Pipeline {
         let completion = self
             .completions
             .recv()
-            .expect("pipeline executors outlive the pipeline");
+            .expect("the handle keeps its completion channel open");
         self.outstanding -= 1;
         Some(completion)
     }
@@ -422,10 +511,10 @@ impl Pipeline {
         out
     }
 
-    /// A snapshot of the pipeline-lifetime counters.
+    /// A snapshot of this handle's lifetime counters.
     #[must_use]
     pub fn stats(&self) -> PipelineStats {
-        let c = &self.counters;
+        let c = &self.reply.counters;
         PipelineStats {
             // ORDERING: statistics snapshot; counters are independent and
             // reporting tolerates a torn view across them.
@@ -442,33 +531,13 @@ impl Pipeline {
     }
 }
 
-impl Drop for Pipeline {
-    fn drop(&mut self) {
-        // Closing the queue ends the executor loops *after* they finish
-        // everything already enqueued: graceful drain on shutdown.
-        self.queue = None;
-        for handle in self.executors.drain(..) {
-            let _ = handle.join();
-        }
-    }
-}
-
-fn executor_loop(
-    queue: &Mutex<Receiver<Ticket>>,
-    engine: &Engine,
-    completions: &Sender<Completion>,
-    gate: &Gate,
-    tokens: &Mutex<HashMap<RequestId, CancelToken>>,
-    counters: &Counters,
-    notifier: &Mutex<Option<CompletionNotifier>>,
-) {
+fn executor_loop(queue: &Queue, engine: &Engine) {
     loop {
-        // Only the receive is serialized (std mpsc receivers are
-        // single-consumer); evaluation runs outside the lock, so
-        // executors overlap on the engine.
-        let ticket = match lock(queue).recv() {
+        // Only the receive is serialized; evaluation runs outside the
+        // lock, so executors overlap on the engine.
+        let ticket = match lock(&queue.tickets).recv() {
             Ok(ticket) => ticket,
-            Err(_) => return, // pipeline dropped and queue drained
+            Err(_) => return, // team dropped and queue drained
         };
         let queue_nanos = u64::try_from(ticket.submitted.elapsed().as_nanos()).unwrap_or(u64::MAX);
         // Cancelled while queued: never touches the engine, and reports
@@ -491,9 +560,18 @@ fn executor_loop(
             let nanos = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
             (result, nanos)
         };
-        counters.record(&result, queue_nanos, service_nanos);
-        lock(tokens).remove(&ticket.id);
-        let _ = completions.send(Completion {
+        let reply = &ticket.reply;
+        reply.counters.record(&result, queue_nanos, service_nanos);
+        lock(&reply.tokens).remove(&ticket.id);
+        // Free the team slot *before* the completion becomes observable.
+        // A submitter paced by completions — the serve daemon returns a
+        // budget permit only after polling one — then always finds the
+        // slot already free, so with depth equal to its budget the gate
+        // never blocks it.
+        queue.gate.release();
+        // The handle may be gone (its client vanished); the ticket is
+        // answered regardless and the send simply fails.
+        let _ = reply.done.send(Completion {
             id: ticket.id,
             result,
             queue_nanos,
@@ -501,12 +579,10 @@ fn executor_loop(
         });
         // Wake a readiness-driven consumer strictly after the send, so a
         // woken poller always finds the completion already in the channel.
-        if let Some(notify) = lock(notifier).as_ref() {
+        let notifier = lock(&reply.notifier).clone();
+        if let Some(notify) = notifier {
             notify();
         }
-        // Release strictly after the send, so a submitter unblocked by
-        // the freed slot can never observe a depth-exceeding channel.
-        gate.release();
     }
 }
 
@@ -628,6 +704,59 @@ mod tests {
             std::thread::yield_now();
         }
         assert_eq!(fired.load(Ordering::SeqCst), 2);
+    }
+
+    #[test]
+    fn handles_on_one_team_see_only_their_own_work() {
+        let team = ExecutorTeam::new(
+            Arc::new(Engine::new(EngineConfig {
+                workers: 1,
+                cache_tables: 4096,
+                cache_dir: None,
+                ..EngineConfig::default()
+            })),
+            PipelineConfig {
+                depth: 4,
+                executors: 1,
+            },
+        );
+        let mut a = Pipeline::attach(Arc::clone(&team));
+        let mut b = Pipeline::attach(Arc::clone(&team));
+        // One executor behind a long first ticket, so b's second request
+        // is still queued when it is cancelled. Ids are per handle: b2
+        // and a2 are the same number, and only b2 may be cancelled.
+        let a1 = a.submit(request(32, 400)).unwrap();
+        let b1 = b.submit(request(2, 3)).unwrap();
+        let a2 = a.submit(request(2, 2)).unwrap();
+        let b2 = b.submit(request(3, 3)).unwrap();
+        assert_eq!(a2, b2);
+        assert!(b.cancel(b2));
+
+        let done_a = a.drain();
+        let mut ids_a: Vec<_> = done_a.iter().map(|c| c.id).collect();
+        ids_a.sort();
+        assert_eq!(ids_a, vec![a1, a2]);
+        assert!(done_a.iter().all(|c| c.result.is_ok()), "{done_a:?}");
+        let stats_a = a.stats();
+        assert_eq!((stats_a.submitted, stats_a.completed), (2, 2));
+        assert_eq!(stats_a.cancelled + stats_a.failed, 0);
+
+        let done_b = b.drain();
+        let mut ids_b: Vec<_> = done_b.iter().map(|c| c.id).collect();
+        ids_b.sort();
+        assert_eq!(ids_b, vec![b1, b2]);
+        for completion in &done_b {
+            if completion.id == b2 {
+                assert!(matches!(completion.result, Err(EngineError::Cancelled)));
+            } else {
+                assert!(completion.result.is_ok());
+            }
+        }
+        let stats_b = b.stats();
+        assert_eq!((stats_b.submitted, stats_b.completed), (2, 1));
+        assert_eq!(stats_b.cancelled, 1);
+        assert_eq!(a.stats(), stats_a, "b's work never moves a's counters");
+        assert!(a.poll_completions().is_empty() && b.poll_completions().is_empty());
     }
 
     #[test]

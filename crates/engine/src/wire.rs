@@ -48,16 +48,13 @@
 //! `{"weight":…,"dist":{…}}`). The library API accepts any
 //! [`ReplyTimeDistribution`]; the wire is limited to these constructors.
 //!
-//! Two session front-ends speak the protocol:
-//!
-//! - [`PipelinedSession`] — the real one: a thin codec over
-//!   [`Pipeline`](crate::Pipeline), keeping several requests in flight
-//!   and emitting responses in **completion order** (out of order with
-//!   respect to the input when a short sweep overtakes a long one).
-//!   Rescores of a still-in-flight base are held back and dispatched the
-//!   moment the base completes.
-//! - [`Session`] — the historical blocking API, now a depth-1 shim over
-//!   the same pipeline: one line in, one line out, in order.
+//! [`PipelinedSession`] speaks the protocol: a thin codec over
+//! [`Pipeline`](crate::Pipeline), keeping several requests in flight and
+//! emitting responses in **completion order** (out of order with respect
+//! to the input when a short sweep overtakes a long one). Rescores of a
+//! still-in-flight base are held back and dispatched the moment the base
+//! completes. A strictly sequential caller gets one line in, one line out
+//! from `submit_line` followed by `drain`.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -68,7 +65,9 @@ use zeroconf_dist::{
     ReplyTimeDistribution,
 };
 
-use crate::pipeline::{Completion, Pipeline, PipelineConfig, PipelineStats, RequestId};
+use crate::pipeline::{
+    Completion, ExecutorTeam, Pipeline, PipelineConfig, PipelineStats, RequestId,
+};
 use crate::request::BatchStats;
 use crate::{
     AxisSpec, CalibrateRequest, CalibrateResponse, Engine, EngineError, EngineStats,
@@ -156,15 +155,21 @@ impl Json {
     }
 }
 
+/// The deepest array/object nesting [`parse_json`] accepts. Request
+/// frames nest about six deep; the bound keeps the recursive parser's
+/// stack use fixed whatever a client sends.
+const MAX_NESTING: usize = 64;
+
 /// Parses one JSON document (trailing whitespace allowed).
 ///
 /// # Errors
 ///
-/// Returns a [`WireError`] describing the first syntax problem.
+/// Returns a [`WireError`] describing the first syntax problem, including
+/// arrays and objects nested deeper than 64 levels.
 pub fn parse_json(input: &str) -> Result<Json, WireError> {
     let bytes = input.as_bytes();
     let mut pos = 0;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(err(format!("trailing input at byte {pos}")));
@@ -178,12 +183,18 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, WireError> {
+/// Parses the value at `pos`, which sits inside `depth` enclosing arrays
+/// and objects.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, WireError> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err(err("unexpected end of input")),
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
+        Some(b'{' | b'[') if depth >= MAX_NESTING => Err(err(format!(
+            "nesting deeper than {MAX_NESTING} levels at byte {pos}",
+            pos = *pos
+        ))),
+        Some(b'{') => parse_object(bytes, pos, depth + 1),
+        Some(b'[') => parse_array(bytes, pos, depth + 1),
         Some(b'"') => Ok(Json::Str(parse_string(bytes, pos)?)),
         Some(b't') => parse_literal(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_literal(bytes, pos, "false", Json::Bool(false)),
@@ -275,7 +286,7 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, WireError> {
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, WireError> {
+fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, WireError> {
     *pos += 1; // consume '['
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -284,7 +295,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, WireError> {
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -297,7 +308,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, WireError> {
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, WireError> {
+fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, WireError> {
     *pos += 1; // consume '{'
     let mut members = Vec::new();
     skip_ws(bytes, pos);
@@ -316,7 +327,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, WireError> {
             return Err(err("expected `:` after object key"));
         }
         *pos += 1;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         members.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -1034,28 +1045,38 @@ pub struct PipelinedSession {
     /// list of (dependent wire id, pending work).
     waiting: HashMap<String, Vec<(String, PendingWork)>>,
     /// Wire ids submitted or waiting whose response has not been emitted.
+    /// A set, so lines sharing an id are one entry here: it answers "is
+    /// this base still pending", never "how many requests are".
     pending_ids: HashSet<String>,
 }
 
 impl PipelinedSession {
     /// Starts a pipelined session around an engine owned by this session
     /// alone. Multi-session fronts (one session per client connection of
-    /// `zeroconf serve`) share one engine via
-    /// [`PipelinedSession::with_engine`] instead.
+    /// `zeroconf serve`) share one executor team via
+    /// [`PipelinedSession::attach`] instead.
     #[must_use]
     pub fn new(engine: Engine, config: PipelineConfig) -> PipelinedSession {
         PipelinedSession::with_engine(Arc::new(engine), config)
     }
 
-    /// Starts a pipelined session over a *shared* engine: the session
-    /// owns its pipeline (in-flight bookkeeping, executors, rescore
-    /// hold-back state) but the engine — worker pool, π-table cache,
-    /// lifetime counters — is common to every session holding the `Arc`.
-    /// A sweep completed through one session warms the cache for all.
+    /// Starts a pipelined session over a *shared* engine with a private
+    /// executor team: the engine — worker pool, π-table cache, lifetime
+    /// counters — is common to every session holding the `Arc`, so a
+    /// sweep completed through one session warms the cache for all.
     #[must_use]
     pub fn with_engine(engine: Arc<Engine>, config: PipelineConfig) -> PipelinedSession {
+        PipelinedSession::attach(ExecutorTeam::new(engine, config))
+    }
+
+    /// Starts a pipelined session on a *shared* executor team: the
+    /// session owns its handle (ids, completions, counters, rescore
+    /// hold-back state) while the team's executors, depth bound and
+    /// engine are common to every session attached to it.
+    #[must_use]
+    pub fn attach(team: Arc<ExecutorTeam>) -> PipelinedSession {
         PipelinedSession {
-            pipeline: Pipeline::new(engine, config),
+            pipeline: Pipeline::attach(team),
             sweeps: HashMap::new(),
             in_flight: HashMap::new(),
             by_wire_id: HashMap::new(),
@@ -1074,12 +1095,15 @@ impl PipelinedSession {
         self.pipeline.set_completion_notifier(notifier);
     }
 
-    /// Unanswered requests: submitted or held back, response not yet
-    /// emitted. Connection handlers use this to bound per-connection
-    /// admission and to decide when a drain is complete.
+    /// Unanswered requests: one per request in the pipeline plus one per
+    /// held-back dependent, response not yet emitted. Requests, not
+    /// distinct ids — two in-flight lines sharing an id count twice — so
+    /// a connection handler holding one admission permit per pending
+    /// request always holds at least one per ticket it has on the team,
+    /// and a drain is complete only once every ticket is answered.
     #[must_use]
     pub fn pending(&self) -> usize {
-        self.pending_ids.len()
+        self.in_flight.len() + self.waiting.values().map(Vec::len).sum::<usize>()
     }
 
     /// Withdraws every unanswered request in the session: in-flight
@@ -1091,7 +1115,9 @@ impl PipelinedSession {
     /// This is the connection-drop path of `zeroconf serve`: a client
     /// that vanishes takes only its own requests down.
     pub fn cancel_all(&mut self) -> Vec<String> {
-        for pipeline_id in self.by_wire_id.values() {
+        // Every ticket, not one per wire id: lines sharing an id are
+        // each in flight.
+        for pipeline_id in self.in_flight.keys() {
             self.pipeline.cancel(*pipeline_id);
         }
         let waiting = std::mem::take(&mut self.waiting);
@@ -1356,58 +1382,6 @@ impl PipelinedSession {
     }
 }
 
-/// The historical blocking JSON-lines session, kept as a **depth-1 shim**
-/// over [`PipelinedSession`]: one request in flight at a time, one
-/// response line per input line, in input order. New code — even
-/// strictly sequential code — should hold a [`PipelinedSession`]
-/// (`submit_line` + `drain` per line gives the same blocking behavior)
-/// or a raw [`Pipeline`](crate::Pipeline) instead.
-#[deprecated(
-    since = "0.6.0",
-    note = "blocking depth-1 shim; use PipelinedSession (submit_line + drain) instead"
-)]
-pub struct Session {
-    inner: PipelinedSession,
-}
-
-#[allow(deprecated)]
-impl Session {
-    /// Starts a blocking session around `engine`.
-    #[must_use]
-    pub fn new(engine: Engine) -> Session {
-        Session {
-            inner: PipelinedSession::new(
-                engine,
-                PipelineConfig {
-                    depth: 1,
-                    executors: 1,
-                },
-            ),
-        }
-    }
-
-    /// Handles one input line, returning exactly one response line
-    /// (success or `error`). Blank lines return `None`.
-    pub fn handle_line(&mut self, line: &str) -> Option<String> {
-        let mut lines = self.inner.submit_line(line);
-        lines.extend(self.inner.drain());
-        debug_assert!(lines.len() <= 1, "depth-1 shim answers one line at a time");
-        lines.into_iter().next()
-    }
-
-    /// The engine's cumulative counters (for `--stats` reporting).
-    #[must_use]
-    pub fn stats(&self) -> crate::EngineStats {
-        self.inner.stats()
-    }
-
-    /// Renders the engine stats as one JSON line.
-    #[must_use]
-    pub fn stats_line(&self) -> String {
-        self.inner.stats_line()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use crate::EngineConfig;
@@ -1431,8 +1405,7 @@ mod tests {
         })
     }
 
-    /// Blocking one-line-in/one-line-out over a pipelined session — what
-    /// the deprecated `Session` shim used to provide.
+    /// Blocking one-line-in/one-line-out over a pipelined session.
     fn handle(session: &mut PipelinedSession, line: &str) -> Option<String> {
         let mut lines = session.submit_line(line);
         lines.extend(session.drain());
@@ -1451,6 +1424,29 @@ mod tests {
         assert_eq!(v.get("d"), Some(&Json::Null));
         assert!(parse_json("{\"a\":}").is_err());
         assert!(parse_json("[1,2] trailing").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_without_recursing_past_the_cap() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse_json(&nested(MAX_NESTING)).is_ok());
+        let too_deep = parse_json(&nested(MAX_NESTING + 1)).unwrap_err();
+        assert!(
+            too_deep.message.contains("nesting deeper than 64"),
+            "{too_deep}"
+        );
+        let object = format!(
+            "{}1{}",
+            "{\"a\":".repeat(MAX_NESTING + 1),
+            "}".repeat(MAX_NESTING + 1)
+        );
+        assert!(parse_json(&object).is_err());
+        // Deep enough to overflow a thread's stack at one frame per level.
+        let hostile = "[".repeat(200_000);
+        assert!(parse_json(&hostile)
+            .unwrap_err()
+            .message
+            .contains("nesting deeper than"));
     }
 
     #[test]
@@ -1508,24 +1504,23 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
     fn session_answers_sweep_then_miss_free_rescore() {
-        // Exercises the deprecated depth-1 shim on purpose: it must stay
-        // behaviorally identical to PipelinedSession until removal.
-        let mut session = Session::new(engine(2));
-        let first = session.handle_line(&sweep_line("s1")).unwrap();
+        let mut session = PipelinedSession::new(engine(2), PipelineConfig::with_depth(1));
+        let first = handle(&mut session, &sweep_line("s1")).unwrap();
         assert!(first.contains("\"id\":\"s1\""), "{first}");
         assert!(first.contains("\"cache_misses\":3"), "{first}");
         let rescore =
             "{\"id\":\"s2\",\"rescore\":{\"of\":\"s1\",\"error_cost\":1e9,\"probe_cost\":3.0}}";
-        let second = session.handle_line(rescore).unwrap();
+        let second = handle(&mut session, rescore).unwrap();
         assert!(second.contains("\"id\":\"s2\""), "{second}");
         assert!(second.contains("\"cache_misses\":0"), "{second}");
         assert!(second.contains("\"cache_hits\":3"), "{second}");
         // Chained rescore off the rescored request.
-        let third = session
-            .handle_line("{\"id\":\"s3\",\"rescore\":{\"of\":\"s2\",\"q\":0.25}}")
-            .unwrap();
+        let third = handle(
+            &mut session,
+            "{\"id\":\"s3\",\"rescore\":{\"of\":\"s2\",\"q\":0.25}}",
+        )
+        .unwrap();
         assert!(third.contains("\"cache_misses\":0"), "{third}");
         let stats = session.stats_line();
         assert!(stats.contains("\"requests\":3"), "{stats}");
@@ -1655,6 +1650,35 @@ mod tests {
             "{frontier}"
         );
         assert!(frontier.contains("\"cache_misses\":0"), "{frontier}");
+    }
+
+    #[test]
+    fn pending_counts_requests_not_distinct_ids() {
+        let mut session = PipelinedSession::new(engine(1), PipelineConfig::with_depth(4));
+        for _ in 0..3 {
+            assert!(session.submit_line(&sweep_line("x")).is_empty());
+        }
+        session.submit_line("{\"id\":\"x\",\"rescore\":{\"of\":\"x\",\"error_cost\":1e9}}");
+        assert_eq!(session.pending(), 4, "three tickets and one held back");
+        let mut answered = 0;
+        while session.pending() > 0 {
+            let completion = session.pipeline.next_completion().unwrap();
+            answered += session.finish(completion).len();
+            assert!(
+                session.pending() + answered >= 4,
+                "nothing stops counting before it is answered"
+            );
+        }
+        assert_eq!(answered, 4);
+
+        // After a withdrawal, every ticket sharing the id still answers
+        // exactly once (cancelled, or done if it finished first).
+        for _ in 0..3 {
+            session.submit_line(&sweep_line("y"));
+        }
+        assert!(session.cancel_all().is_empty());
+        assert_eq!(session.drain().len(), 3);
+        assert_eq!(session.pending(), 0);
     }
 
     #[test]

@@ -8,10 +8,6 @@ use std::sync::Arc;
 use zeroconf_cost::Scenario;
 use zeroconf_dist::DefectiveExponential;
 use zeroconf_engine::wire::{self, PipelinedSession};
-// The blocking shim is deprecated but must stay behaviorally pinned until
-// removal; two tests below exercise it on purpose.
-#[allow(deprecated)]
-use zeroconf_engine::wire::Session;
 use zeroconf_engine::{
     Engine, EngineConfig, EngineError, GridSpec, Pipeline, PipelineConfig, SweepRequest,
 };
@@ -415,44 +411,58 @@ fn pipelined_session_drain_answers_every_wire_id() {
 }
 
 // ---------------------------------------------------------------------------
-// Blocking shim and protocol version
+// Line-for-line use and protocol version
 // ---------------------------------------------------------------------------
 
-#[test]
-#[allow(deprecated)]
-fn blocking_session_still_answers_line_for_line() {
-    let mut session = Session::new(Engine::new(EngineConfig {
-        workers: 1,
-        cache_tables: 16,
-        cache_dir: None,
-        ..EngineConfig::default()
-    }));
-    let sweep = "{\"v\":1,\"id\":\"a\",\"scenario\":{\"q\":0.5,\"probe_cost\":2.0,\
-        \"error_cost\":1e6,\"reply_time\":{\"kind\":\"exponential\",\"loss\":1e-6,\
-        \"rate\":10.0,\"delay\":1.0}},\"grid\":{\"n_max\":2,\"r\":[1.0,2.0]}}";
-    let first = session.handle_line(sweep).unwrap();
-    assert!(first.contains("\"id\":\"a\""), "{first}");
-    assert!(first.starts_with("{\"v\":1,"), "{first}");
-    let second = session
-        .handle_line("{\"id\":\"b\",\"rescore\":{\"of\":\"a\",\"error_cost\":1e9}}")
-        .unwrap();
-    assert!(second.contains("\"cache_misses\":0"), "{second}");
-    assert!(session.handle_line("").is_none());
+/// A depth-1 session driven one line at a time: `submit_line` then
+/// `drain` answers each input line before the next is read.
+fn blocking_session() -> PipelinedSession {
+    PipelinedSession::new(
+        Engine::new(EngineConfig {
+            workers: 1,
+            cache_tables: 16,
+            cache_dir: None,
+            ..EngineConfig::default()
+        }),
+        PipelineConfig::with_depth(1),
+    )
+}
+
+fn handle_line(session: &mut PipelinedSession, line: &str) -> Option<String> {
+    let mut lines = session.submit_line(line);
+    lines.extend(session.drain());
+    assert!(
+        lines.len() <= 1,
+        "one line in, at most one line out: {lines:?}"
+    );
+    lines.into_iter().next()
 }
 
 #[test]
-#[allow(deprecated)]
+fn blocking_session_still_answers_line_for_line() {
+    let mut session = blocking_session();
+    let sweep = "{\"v\":1,\"id\":\"a\",\"scenario\":{\"q\":0.5,\"probe_cost\":2.0,\
+        \"error_cost\":1e6,\"reply_time\":{\"kind\":\"exponential\",\"loss\":1e-6,\
+        \"rate\":10.0,\"delay\":1.0}},\"grid\":{\"n_max\":2,\"r\":[1.0,2.0]}}";
+    let first = handle_line(&mut session, sweep).unwrap();
+    assert!(first.contains("\"id\":\"a\""), "{first}");
+    assert!(first.starts_with("{\"v\":1,"), "{first}");
+    let second = handle_line(
+        &mut session,
+        "{\"id\":\"b\",\"rescore\":{\"of\":\"a\",\"error_cost\":1e9}}",
+    )
+    .unwrap();
+    assert!(second.contains("\"cache_misses\":0"), "{second}");
+    assert!(handle_line(&mut session, "").is_none());
+}
+
+#[test]
 fn unknown_protocol_version_is_a_structured_error() {
-    let mut session = Session::new(Engine::new(EngineConfig {
-        workers: 1,
-        cache_tables: 16,
-        cache_dir: None,
-        ..EngineConfig::default()
-    }));
+    let mut session = blocking_session();
     let line = "{\"v\":2,\"id\":\"x\",\"scenario\":{\"q\":0.5,\"probe_cost\":2.0,\
         \"error_cost\":1e6,\"reply_time\":{\"kind\":\"exponential\",\"loss\":1e-6,\
         \"rate\":10.0,\"delay\":1.0}},\"grid\":{\"n_max\":2,\"r\":[1.0]}}";
-    let response = session.handle_line(line).unwrap();
+    let response = handle_line(&mut session, line).unwrap();
     assert!(
         response.contains("\"id\":\"x\""),
         "the error echoes the request id: {response}"
@@ -466,6 +476,6 @@ fn unknown_protocol_version_is_a_structured_error() {
         "error lines stay machine-readable: {response}"
     );
     // v1 (and absent v) still work.
-    let ok = session.handle_line(&line.replacen("\"v\":2", "\"v\":1", 1));
+    let ok = handle_line(&mut session, &line.replacen("\"v\":2", "\"v\":1", 1));
     assert!(ok.unwrap().contains("\"cells\""));
 }

@@ -9,24 +9,24 @@
 //! pipelines hundreds of sweeps cannot starve one that sends a single
 //! request, no matter how the permits are sized.
 //!
-//! The queue holds at most one entry per connection (each connection is
-//! served by exactly one handler thread, and [`FairBudget::acquire_for`]
-//! is synchronous), so "front of the queue" is well-defined per client.
-//! Waiting is bounded: `acquire_for` returns after a timeout *without
-//! giving up the queue position*, letting the handler poll its own
-//! completions — which is what releases permits — between attempts. This
-//! is also what makes the scheme deadlock-free: a connection whose own
-//! pending requests hold every permit keeps cycling between a timed-out
-//! acquire and a poll that frees slots.
+//! The budget is the daemon's only admission decision: its capacity is
+//! also the depth of the server's executor team, and every ticket on the
+//! team holds a permit, so the team's own gate never binds.
+//!
+//! Admission never waits. [`FairBudget::try_acquire`] enqueues the
+//! connection (at most one entry per connection) and answers at once;
+//! a refused connection keeps its queue position while the event loop
+//! polls completions — which is what releases permits — and retries.
+//! This is also what makes the scheme deadlock-free: a connection whose
+//! own pending requests hold every permit keeps cycling between a
+//! refused admission and a poll that frees slots.
 
 use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex, MutexGuard};
-use std::time::Duration;
+use std::sync::{Mutex, MutexGuard};
 
 /// The shared permit pool plus the connection admission queue.
 pub struct FairBudget {
     state: Mutex<State>,
-    changed: Condvar,
     capacity: usize,
 }
 
@@ -51,7 +51,6 @@ impl FairBudget {
                 available: capacity,
                 queue: VecDeque::new(),
             }),
-            changed: Condvar::new(),
             capacity,
         }
     }
@@ -68,49 +67,25 @@ impl FairBudget {
         lock(&self.state).available
     }
 
-    /// Tries to acquire one permit for `conn`, waiting at most `timeout`.
-    ///
-    /// The connection is enqueued on first call and **stays enqueued
-    /// across timeouts**, keeping its position while the caller goes off
-    /// to poll completions; a later call resumes the same wait. Returns
-    /// `true` when a permit was granted (the connection leaves the
-    /// queue), `false` on timeout.
-    pub fn acquire_for(&self, conn: u64, timeout: Duration) -> bool {
+    /// Non-blocking admission for the readiness-driven event loop, which
+    /// runs every connection on one thread and must never sleep on the
+    /// budget. Enqueues `conn` on first call and grants a permit only
+    /// when `conn` is at the queue front with a permit free (the
+    /// connection then leaves the queue); on `false` the connection
+    /// **stays queued**, keeping its round-robin position for the next
+    /// loop iteration (permits are released from the same loop, so a
+    /// retry follows promptly).
+    pub fn try_acquire(&self, conn: u64) -> bool {
         let mut state = lock(&self.state);
         if !state.queue.contains(&conn) {
             state.queue.push_back(conn);
         }
-        let mut remaining = timeout;
-        loop {
-            if state.queue.front() == Some(&conn) && state.available > 0 {
-                state.available -= 1;
-                state.queue.pop_front();
-                // The next queued connection may now be at the front.
-                self.changed.notify_all();
-                return true;
-            }
-            if remaining.is_zero() {
-                return false;
-            }
-            let wait = remaining.min(Duration::from_millis(20));
-            remaining = remaining.saturating_sub(wait);
-            state = self
-                .changed
-                .wait_timeout(state, wait)
-                .unwrap_or_else(|e| e.into_inner())
-                .0;
+        if state.queue.front() == Some(&conn) && state.available > 0 {
+            state.available -= 1;
+            state.queue.pop_front();
+            return true;
         }
-    }
-
-    /// Non-blocking admission for readiness-driven callers: the serve
-    /// reactor runs every connection on one event-loop thread and must
-    /// never sleep on the budget. Enqueues `conn` on first call and
-    /// grants a permit only when `conn` is at the queue front with a
-    /// permit free; on `false` the connection **stays queued**, keeping
-    /// its round-robin position for the next loop iteration (permits are
-    /// released from the same loop, so a retry follows promptly).
-    pub fn try_acquire(&self, conn: u64) -> bool {
-        self.acquire_for(conn, Duration::ZERO)
+        false
     }
 
     /// Returns one permit to the pool.
@@ -127,15 +102,12 @@ impl FairBudget {
         }
         let mut state = lock(&self.state);
         state.available = (state.available + n).min(self.capacity);
-        self.changed.notify_all();
     }
 
     /// Removes `conn` from the admission queue (connection teardown, or
     /// stepping out while output backpressure gates admission). Idempotent.
     pub fn leave(&self, conn: u64) {
-        let mut state = lock(&self.state);
-        state.queue.retain(|&c| c != conn);
-        self.changed.notify_all();
+        lock(&self.state).queue.retain(|&c| c != conn);
     }
 }
 
@@ -143,16 +115,14 @@ impl FairBudget {
 mod tests {
     use super::*;
 
-    const TICK: Duration = Duration::from_millis(5);
-
     #[test]
     fn permits_are_granted_up_to_capacity() {
         let budget = FairBudget::new(2);
-        assert!(budget.acquire_for(1, TICK));
-        assert!(budget.acquire_for(1, TICK));
-        assert!(!budget.acquire_for(1, TICK), "third permit must time out");
+        assert!(budget.try_acquire(1));
+        assert!(budget.try_acquire(1));
+        assert!(!budget.try_acquire(1), "third permit must be refused");
         budget.release();
-        assert!(budget.acquire_for(1, TICK));
+        assert!(budget.try_acquire(1));
         budget.release_many(2);
         assert_eq!(budget.available(), 2);
     }
@@ -160,34 +130,10 @@ mod tests {
     #[test]
     fn front_of_queue_goes_first() {
         let budget = FairBudget::new(1);
-        assert!(budget.acquire_for(1, TICK));
-        // Both wait; conn 2 queued first, so after a release conn 2 wins
-        // even when conn 3 retries first.
-        assert!(!budget.acquire_for(2, TICK));
-        assert!(!budget.acquire_for(3, TICK));
-        budget.release();
-        assert!(!budget.acquire_for(3, TICK), "conn 3 is behind conn 2");
-        assert!(budget.acquire_for(2, TICK));
-        budget.release();
-        assert!(budget.acquire_for(3, TICK));
-    }
-
-    #[test]
-    fn leaving_the_queue_unblocks_the_next_connection() {
-        let budget = FairBudget::new(1);
-        assert!(budget.acquire_for(1, TICK));
-        assert!(!budget.acquire_for(2, TICK));
-        assert!(!budget.acquire_for(3, TICK));
-        budget.leave(2);
-        budget.release();
-        assert!(budget.acquire_for(3, TICK), "conn 3 moves up when 2 leaves");
-    }
-
-    #[test]
-    fn try_acquire_never_blocks_and_keeps_queue_position() {
-        let budget = FairBudget::new(1);
         assert!(budget.try_acquire(1));
-        // Pool empty: both fail instantly but stay queued in ask order.
+        // Pool empty: both are refused at once but stay queued in ask
+        // order, so after a release conn 2 wins even when conn 3 retries
+        // first.
         assert!(!budget.try_acquire(2));
         assert!(!budget.try_acquire(3));
         budget.release();
@@ -198,6 +144,17 @@ mod tests {
     }
 
     #[test]
+    fn leaving_the_queue_unblocks_the_next_connection() {
+        let budget = FairBudget::new(1);
+        assert!(budget.try_acquire(1));
+        assert!(!budget.try_acquire(2));
+        assert!(!budget.try_acquire(3));
+        budget.leave(2);
+        budget.release();
+        assert!(budget.try_acquire(3), "conn 3 moves up when 2 leaves");
+    }
+
+    #[test]
     fn release_is_capped_at_capacity() {
         let budget = FairBudget::new(2);
         budget.release_many(10);
@@ -205,13 +162,15 @@ mod tests {
     }
 
     #[test]
-    fn cross_thread_handoff_wakes_a_waiter() {
+    fn a_release_on_another_thread_admits_the_queued_connection() {
         let budget = std::sync::Arc::new(FairBudget::new(1));
-        assert!(budget.acquire_for(1, TICK));
+        assert!(budget.try_acquire(1));
+        assert!(!budget.try_acquire(2));
         let clone = std::sync::Arc::clone(&budget);
-        let waiter = std::thread::spawn(move || clone.acquire_for(2, Duration::from_secs(5)));
-        std::thread::sleep(Duration::from_millis(20));
-        budget.release();
-        assert!(waiter.join().unwrap(), "waiter granted after release");
+        std::thread::spawn(move || clone.release()).join().unwrap();
+        assert!(
+            budget.try_acquire(2),
+            "the queued conn is granted after release"
+        );
     }
 }

@@ -8,12 +8,13 @@
 //! bytes and permits available right now or records what it is waiting
 //! for in its [`Interest`].
 //!
-//! The per-connection pipeline ([`PipelinedSession`] over the server's
-//! shared [`Engine`](zeroconf_engine::Engine) `Arc`) is created lazily
-//! on the first request line, so a thousand idle connections cost a
-//! socket and a few buffers each, not executor threads. Request-id
-//! namespacing is unchanged from the threaded server: the server-side
-//! identity of a request is `conn_id:wire_id`.
+//! The per-connection session ([`PipelinedSession`], a handle on the
+//! server's one [`ExecutorTeam`](zeroconf_engine::ExecutorTeam)) is
+//! created lazily on the first request line, so idle connections cost a
+//! socket and a few buffers each, and busy ones add no threads: the
+//! team's executors serve every connection. Request-id namespacing is
+//! unchanged from the threaded server: the server-side identity of a
+//! request is `conn_id:wire_id`.
 //!
 //! **Backpressure** is the load-bearing invariant. Completions are
 //! *always* polled — a permit returns to the [`FairBudget`] the moment
@@ -44,7 +45,6 @@ use std::net::TcpStream;
 use std::sync::Arc;
 
 use zeroconf_engine::wire::{self, Json, PipelinedSession};
-use zeroconf_engine::PipelineConfig;
 
 use crate::metrics::{stats_response_line, ConnMetrics, StatsSnapshot};
 use crate::reactor::{Interest, WakeHandle};
@@ -69,7 +69,6 @@ const MAX_READ_CHUNKS: usize = 16;
 /// `as_raw_fd`), not the old `ClientStream` trait object.
 pub(crate) enum ClientSocket {
     Tcp(TcpStream),
-    #[cfg(unix)]
     Unix(std::os::unix::net::UnixStream),
 }
 
@@ -77,7 +76,6 @@ impl ClientSocket {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
         match self {
             ClientSocket::Tcp(s) => s.read(buf),
-            #[cfg(unix)]
             ClientSocket::Unix(s) => s.read(buf),
         }
     }
@@ -85,7 +83,6 @@ impl ClientSocket {
     fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
         match self {
             ClientSocket::Tcp(s) => s.write_vectored(bufs),
-            #[cfg(unix)]
             ClientSocket::Unix(s) => s.write_vectored(bufs),
         }
     }
@@ -98,7 +95,6 @@ impl ClientSocket {
                 .write_all(line.as_bytes())
                 .and_then(|()| s.write_all(b"\n"))
                 .and_then(|()| s.flush()),
-            #[cfg(unix)]
             ClientSocket::Unix(s) => s
                 .write_all(line.as_bytes())
                 .and_then(|()| s.write_all(b"\n"))
@@ -107,7 +103,6 @@ impl ClientSocket {
         let _ = result;
     }
 
-    #[cfg(unix)]
     pub(crate) fn raw_fd(&self) -> crate::reactor::RawFd {
         use std::os::unix::io::AsRawFd;
         match self {
@@ -220,7 +215,8 @@ pub(crate) struct Connection {
     parked: VecDeque<String>,
     out: OutBuf,
     metrics: ConnMetrics,
-    /// Budget permits held; kept equal to the session's pending count.
+    /// Budget permits held; kept equal to the session's pending count
+    /// (requests, not distinct wire ids).
     permits: usize,
     /// Client gone (EOF, read/write error, hangup): withdrawing.
     gone: bool,
@@ -286,7 +282,6 @@ impl Connection {
         self.socket.take()
     }
 
-    #[cfg(unix)]
     pub(crate) fn raw_fd(&self) -> Option<crate::reactor::RawFd> {
         self.socket.as_ref().map(ClientSocket::raw_fd)
     }
@@ -498,19 +493,12 @@ impl Connection {
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
     }
 
-    /// The lazily created pipelined session. Creating it spawns the
-    /// executor pool, so purely idle connections never pay for one; the
-    /// completion notifier is wired to the loop's wakeup handle here.
+    /// The lazily created pipelined session, attached to the server's
+    /// executor team; the completion notifier is wired to the loop's
+    /// wakeup handle here.
     fn session(&mut self) -> &mut PipelinedSession {
         if self.session.is_none() {
-            let capacity = self.shared.budget.capacity();
-            let session = PipelinedSession::with_engine(
-                Arc::clone(&self.shared.engine),
-                PipelineConfig {
-                    depth: capacity,
-                    executors: capacity.min(4),
-                },
-            );
+            let session = PipelinedSession::attach(Arc::clone(&self.shared.team));
             let wake = self.wake.clone();
             session.set_completion_notifier(Arc::new(move || wake.notify()));
             self.session = Some(session);
@@ -607,7 +595,7 @@ impl Connection {
             Some(session) => (session.pipeline_stats(), session.stats()),
             None => (
                 zeroconf_engine::PipelineStats::default(),
-                self.shared.engine.stats(),
+                self.shared.team.engine().stats(),
             ),
         };
         StatsSnapshot {
@@ -677,7 +665,6 @@ mod tests {
         assert_eq!(out.len(), 0);
     }
 
-    #[cfg(unix)]
     #[test]
     fn outbuf_flushes_through_a_real_socket() {
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
@@ -704,14 +691,16 @@ mod tests {
     }
 
     fn test_shared(inflight: usize) -> Arc<crate::ServerShared> {
+        let budget = crate::FairBudget::new(inflight);
         Arc::new(crate::ServerShared {
-            engine: Arc::new(zeroconf_engine::Engine::new(
-                zeroconf_engine::EngineConfig {
+            team: crate::daemon_team(
+                zeroconf_engine::Engine::new(zeroconf_engine::EngineConfig {
                     workers: 1,
                     ..zeroconf_engine::EngineConfig::default()
-                },
-            )),
-            budget: crate::FairBudget::new(inflight),
+                }),
+                &budget,
+            ),
+            budget,
             shutdown: crate::Shutdown::new(false),
             metrics: crate::ServerMetrics::default(),
             max_connections: 4,
@@ -772,5 +761,44 @@ mod tests {
         );
         assert_eq!(conn.permits, 0);
         assert_eq!(conn.metrics.responses, 3, "each stats line is answered");
+    }
+
+    /// Regression: permits count requests, not distinct wire ids. When
+    /// they counted ids, lines sharing one id held a single permit
+    /// between them, so a connection could put more tickets on the
+    /// daemon's team than the budget allows and block the reactor in
+    /// the team's depth gate.
+    #[test]
+    fn lines_sharing_an_id_each_hold_a_permit() {
+        let shared = test_shared(2);
+        let capacity = shared.budget.capacity();
+        let mut conn = test_conn(Arc::clone(&shared));
+        let sweep = zeroconf_engine::testkit::sweep_line("x", 4, &[1.0, 2.0]);
+
+        assert!(conn.try_process_line(&sweep));
+        assert!(conn.try_process_line(&sweep));
+        assert!(
+            !conn.try_process_line(&sweep),
+            "the line past capacity waits for a permit"
+        );
+        assert_eq!(conn.permits, capacity);
+        assert_eq!(shared.budget.available(), 0);
+
+        conn.parked.push_back(sweep);
+        while !conn.parked.is_empty() || conn.pending() > 0 {
+            // Read in this order, the sum can only over-state the
+            // tickets: only this thread returns permits, and executors
+            // only take tickets off the team meanwhile.
+            let available = shared.budget.available();
+            assert!(
+                available + shared.team.in_flight() <= capacity,
+                "every ticket on the team holds a permit"
+            );
+            conn.pump();
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        conn.pump();
+        assert_eq!(conn.permits, 0);
+        assert_eq!(shared.budget.available(), capacity);
     }
 }

@@ -10,24 +10,29 @@
 //!   ([`Endpoint`]), each driven by one readiness event loop — a
 //!   reactor thread multiplexing the nonblocking listener and every
 //!   accepted connection through a minimal vendored `epoll(7)` shim
-//!   (`poll(2)` fallback off Linux; see the `reactor` module), with a
-//!   connection bound enforced at accept time (`--max-conns`; excess
-//!   connections receive one refusal line and are closed).
+//!   (Linux only; see the `reactor` module), with a connection bound
+//!   enforced at accept time (`--max-conns`; excess connections receive
+//!   one refusal line and are closed).
 //! - **Sessions**: every connection gets its own
-//!   [`PipelinedSession`](zeroconf_engine::wire::PipelinedSession) over
-//!   the one shared [`Engine`](zeroconf_engine::Engine) `Arc` — π-tables
+//!   [`PipelinedSession`](zeroconf_engine::wire::PipelinedSession)
+//!   handle on the daemon's one
+//!   [`ExecutorTeam`](zeroconf_engine::ExecutorTeam) — `min(inflight, 4)`
+//!   executor threads over the one shared
+//!   [`Engine`](zeroconf_engine::Engine), spawned at bind. π-tables
 //!   computed for one client are warm for all, while request ids stay
 //!   session-scoped (the server-side identity of a request is
 //!   `conn_id:wire_id`, so client-chosen ids can never collide across
-//!   connections). Sessions are created lazily on the first request
-//!   line, so established-but-idle connections cost no executor
-//!   threads; engine completions wake the owning event loop through an
-//!   `eventfd`/self-pipe handle.
+//!   connections). The daemon's thread count is therefore fixed by its
+//!   configuration, however many connections send work; engine
+//!   completions wake the owning event loop through an `eventfd`.
 //! - **Fairness and backpressure**: admission into the engine is
 //!   governed by a global in-flight budget ([`FairBudget`],
 //!   `--inflight`) granted round-robin across asking connections — a
 //!   client that pipelines hundreds of sweeps cannot starve one that
-//!   sends a single request. Completions are polled unconditionally, so
+//!   sends a single request. The budget is the only admission decision:
+//!   every ticket on the team holds a permit and the team's depth equals
+//!   the budget's capacity, so the team's own gate never blocks the
+//!   reactor. Completions are polled unconditionally, so
 //!   permits return the moment work finishes; a client that stops
 //!   *reading* instead has its own intake gated (reads and admissions
 //!   pause above the output high-water mark), so a slow reader can
@@ -45,7 +50,7 @@
 //! and the fairness/drain semantics in detail.
 
 // The `reactor` module is this crate's only unsafe surface (vendored
-// epoll/poll FFI); everything else stays panic-free safe Rust, enforced
+// epoll FFI); everything else stays panic-free safe Rust, enforced
 // by `zeroconf audit`.
 #![deny(unsafe_op_in_unsafe_fn)]
 
@@ -68,7 +73,7 @@ pub use metrics::{
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use zeroconf_engine::{Engine, EngineConfig};
+use zeroconf_engine::{Engine, EngineConfig, ExecutorTeam, PipelineConfig};
 
 /// A fatal serve error with a user-facing message.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -149,8 +154,8 @@ impl Default for ServeConfig {
 impl ServeConfig {
     /// Parses daemon flags: repeatable `--tcp ADDR` / `--unix PATH`
     /// endpoints plus `--workers N`, `--cache TABLES`, `--cache-dir
-    /// PATH`, `--mmap`, `--populate`, `--kernel scalar|simd|auto`,
-    /// `--inflight N` and `--max-conns N`. The parsed config follows
+    /// PATH`, `--mmap`, `--kernel scalar|simd|auto`, `--inflight N` and
+    /// `--max-conns N`. The parsed config follows
     /// process signals (it is the daemon entry path).
     ///
     /// # Errors
@@ -185,7 +190,6 @@ impl ServeConfig {
                         Some(std::path::PathBuf::from(value_of("cache-dir")?));
                 }
                 "--mmap" => config.engine.mmap_spills = true,
-                "--populate" => config.engine.populate = true,
                 "--kernel" => {
                     let raw = value_of("kernel")?;
                     config.engine.kernel =
@@ -228,14 +232,16 @@ fn parse_count(name: &str, raw: &str) -> Result<usize, ServeError> {
 #[must_use]
 pub fn serve_usage() -> String {
     "usage: zeroconf serve (--tcp ADDR | --unix PATH)... [--workers N] [--cache TABLES]\n\
-     \u{20}      [--cache-dir PATH] [--mmap] [--populate] [--kernel scalar|simd|auto]\n\
+     \u{20}      [--cache-dir PATH] [--mmap] [--kernel scalar|simd|auto]\n\
      \u{20}      [--inflight N] [--max-conns N]"
         .to_owned()
 }
 
 /// State shared by every endpoint event loop and connection.
 pub(crate) struct ServerShared {
-    pub(crate) engine: Arc<Engine>,
+    /// The daemon's one executor team (and through it the engine); its
+    /// depth equals `budget.capacity()`.
+    pub(crate) team: Arc<ExecutorTeam>,
     pub(crate) budget: FairBudget,
     pub(crate) shutdown: Shutdown,
     pub(crate) metrics: ServerMetrics,
@@ -250,7 +256,9 @@ pub struct Server {
 }
 
 impl Server {
-    /// Binds every configured endpoint and builds the shared engine.
+    /// Binds every configured endpoint and builds the shared engine and
+    /// the executor team every connection submits to (its threads are
+    /// spawned here and joined when the server drops).
     ///
     /// # Errors
     ///
@@ -264,9 +272,10 @@ impl Server {
         for endpoint in &config.endpoints {
             listeners.push(listener::BoundListener::bind(endpoint)?);
         }
+        let budget = FairBudget::new(config.inflight);
         let shared = Arc::new(ServerShared {
-            engine: Arc::new(Engine::new(config.engine)),
-            budget: FairBudget::new(config.inflight),
+            team: daemon_team(Engine::new(config.engine), &budget),
+            budget,
             shutdown: Shutdown::new(config.follow_process_signals),
             metrics: ServerMetrics::default(),
             max_connections: config.max_connections.max(1),
@@ -349,6 +358,20 @@ impl Server {
     }
 }
 
+/// The daemon's executor team: depth equal to the budget's capacity, so
+/// every ticket holds a permit and the team's gate never binds, and
+/// `min(capacity, 4)` executors.
+pub(crate) fn daemon_team(engine: Engine, budget: &FairBudget) -> Arc<ExecutorTeam> {
+    let capacity = budget.capacity();
+    ExecutorTeam::new(
+        Arc::new(engine),
+        PipelineConfig {
+            depth: capacity,
+            executors: capacity.min(4),
+        },
+    )
+}
+
 /// The daemon entry path shared by the `zeroconf-serve` bin and the
 /// `zeroconf serve` subcommand: parse flags, install the termination
 /// handlers, bind, announce each endpoint as a `listening <scheme:addr>`
@@ -384,7 +407,7 @@ mod tests {
     fn from_args_parses_endpoints_and_tuning() {
         let config = ServeConfig::from_args(&args(
             "--tcp 127.0.0.1:0 --unix /tmp/z.sock --workers 2 --cache 64 \
-             --mmap --populate --kernel scalar --inflight 6 --max-conns 9",
+             --mmap --kernel scalar --inflight 6 --max-conns 9",
         ))
         .unwrap();
         assert_eq!(config.endpoints.len(), 2);
@@ -396,7 +419,6 @@ mod tests {
         assert_eq!(config.engine.workers, 2);
         assert_eq!(config.engine.cache_tables, 64);
         assert!(config.engine.mmap_spills);
-        assert!(config.engine.populate);
         assert_eq!(config.engine.kernel, zeroconf_engine::KernelChoice::Scalar);
         assert_eq!(config.inflight, 6);
         assert_eq!(config.max_connections, 9);

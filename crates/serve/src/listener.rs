@@ -1,7 +1,7 @@
 //! Listening endpoints and their readiness-driven event loops.
 //!
 //! One reactor thread per bound socket runs [`EndpointLoop::run`]: a
-//! single `epoll`/`poll` wait ([`crate::reactor`]) multiplexes the
+//! single `epoll` wait ([`crate::reactor`]) multiplexes the
 //! nonblocking listener, every accepted connection, and the completion
 //! wakeup handle, so a thousand established connections cost file
 //! descriptors and buffers — not threads. The loop's tick is bounded
@@ -72,14 +72,13 @@ const MAX_WAIT_FAILURES: u32 = 64;
 pub enum Endpoint {
     /// A TCP address, e.g. `127.0.0.1:7373` (port `0` picks one).
     Tcp(String),
-    /// A Unix-domain socket path (unix targets only).
+    /// A Unix-domain socket path.
     Unix(PathBuf),
 }
 
 /// A bound, non-blocking listening socket.
 pub(crate) enum BoundListener {
     Tcp(TcpListener),
-    #[cfg(unix)]
     Unix(std::os::unix::net::UnixListener, PathBuf),
 }
 
@@ -96,7 +95,6 @@ impl BoundListener {
                     .map_err(|e| ServeError(format!("configuring tcp {addr}: {e}")))?;
                 Ok(BoundListener::Tcp(listener))
             }
-            #[cfg(unix)]
             Endpoint::Unix(path) => {
                 if path.exists() {
                     std::fs::remove_file(path).map_err(|e| {
@@ -110,11 +108,6 @@ impl BoundListener {
                     .map_err(|e| ServeError(format!("configuring unix {}: {e}", path.display())))?;
                 Ok(BoundListener::Unix(listener, path.clone()))
             }
-            #[cfg(not(unix))]
-            Endpoint::Unix(path) => Err(ServeError(format!(
-                "unix-domain sockets are not supported on this platform ({})",
-                path.display()
-            ))),
         }
     }
 
@@ -127,7 +120,6 @@ impl BoundListener {
                 Ok(addr) => format!("tcp:{addr}"),
                 Err(_) => "tcp:<unknown>".to_owned(),
             },
-            #[cfg(unix)]
             BoundListener::Unix(_, path) => format!("unix:{}", path.display()),
         }
     }
@@ -143,7 +135,6 @@ impl BoundListener {
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => Ok(None),
                 Err(e) => Err(e),
             },
-            #[cfg(unix)]
             BoundListener::Unix(listener, _) => match listener.accept() {
                 Ok((stream, _)) => Ok(Some(ClientSocket::Unix(stream))),
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => Ok(None),
@@ -152,19 +143,16 @@ impl BoundListener {
         }
     }
 
-    #[cfg(unix)]
     fn raw_fd(&self) -> crate::reactor::RawFd {
         use std::os::unix::io::AsRawFd;
         match self {
             BoundListener::Tcp(listener) => listener.as_raw_fd(),
-            #[cfg(unix)]
             BoundListener::Unix(listener, _) => listener.as_raw_fd(),
         }
     }
 
     /// Removes the socket file of a Unix listener (no-op for TCP).
     fn cleanup(&self) {
-        #[cfg(unix)]
         if let BoundListener::Unix(_, path) = self {
             let _ = std::fs::remove_file(path);
         }
@@ -198,7 +186,6 @@ impl EndpointLoop {
     /// Builds the loop: poller created, listener and wakeup registered.
     /// Runs on the caller's thread of `Server::run` so a reactor that
     /// cannot start is a bind-time error, not a background panic.
-    #[cfg(unix)]
     pub(crate) fn new(
         listener: BoundListener,
         shared: Arc<ServerShared>,
@@ -228,19 +215,8 @@ impl EndpointLoop {
         })
     }
 
-    #[cfg(not(unix))]
-    pub(crate) fn new(
-        _listener: BoundListener,
-        _shared: Arc<ServerShared>,
-    ) -> Result<EndpointLoop, ServeError> {
-        Err(ServeError(
-            "the serve reactor requires a unix platform (epoll/poll readiness)".to_owned(),
-        ))
-    }
-
     /// Runs until the server drains and every connection has been
     /// reaped, then removes any Unix socket file.
-    #[cfg(unix)]
     pub(crate) fn run(mut self) {
         loop {
             if !self.drain_started && self.shared.shutdown.is_triggered() {
@@ -322,14 +298,10 @@ impl EndpointLoop {
         self.listener.cleanup();
     }
 
-    #[cfg(not(unix))]
-    pub(crate) fn run(self) {}
-
     /// Accepts until the listener would block. Connections over the
     /// `--max-conns` bound get one refusal line (written while the
     /// socket is still blocking and its send buffer empty, so the
     /// accept path never stalls) and are closed immediately.
-    #[cfg(unix)]
     fn accept_burst(&mut self) {
         if self.drain_started {
             return;
@@ -397,7 +369,6 @@ impl EndpointLoop {
     /// polls (returning permits), parked admissions, flushes; then
     /// tears down gone sockets, reaps finished connections, and
     /// reconciles poller interest with what each connection now wants.
-    #[cfg(unix)]
     fn pump_all(&mut self) {
         let drain = self.drain_started;
         let ids: Vec<u64> = self.conns.keys().copied().collect();
@@ -449,7 +420,6 @@ impl EndpointLoop {
     /// connections are switched to drain mode by the next pump, and the
     /// whole drain gets a deadline so one unresponsive reader cannot
     /// hold shutdown hostage.
-    #[cfg(unix)]
     fn begin_drain(&mut self) {
         self.drain_started = true;
         self.drain_deadline = Some(Instant::now() + self.drain_timeout);
@@ -460,7 +430,6 @@ impl EndpointLoop {
     /// or a poller that can no longer wait): pending work is cancelled,
     /// buffered output is discarded, sockets close, and each
     /// connection's final accounting returns its permits to the budget.
-    #[cfg(unix)]
     fn force_close_all(&mut self) {
         for (id, mut conn) in self.conns.drain() {
             conn.on_hangup();
@@ -474,19 +443,21 @@ impl EndpointLoop {
     }
 }
 
-#[cfg(all(test, unix))]
+#[cfg(test)]
 mod tests {
     use super::*;
 
     fn test_shared() -> Arc<ServerShared> {
+        let budget = crate::FairBudget::new(2);
         Arc::new(ServerShared {
-            engine: Arc::new(zeroconf_engine::Engine::new(
-                zeroconf_engine::EngineConfig {
+            team: crate::daemon_team(
+                zeroconf_engine::Engine::new(zeroconf_engine::EngineConfig {
                     workers: 1,
                     ..zeroconf_engine::EngineConfig::default()
-                },
-            )),
-            budget: crate::FairBudget::new(2),
+                }),
+                &budget,
+            ),
+            budget,
             shutdown: crate::Shutdown::new(false),
             metrics: crate::ServerMetrics::default(),
             max_connections: 4,

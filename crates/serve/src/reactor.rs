@@ -9,22 +9,19 @@
 //! are exported:
 //!
 //! - [`Poller`]: level-triggered readiness over registered descriptors —
-//!   `epoll_create1`/`epoll_ctl`/`epoll_wait` on Linux, with a `poll(2)`
-//!   portable fallback on other unix targets (the registration list
-//!   lives in user space there; the wait rebuilds a `pollfd` array each
-//!   call, which is O(fds) but correct everywhere `poll` exists).
+//!   `epoll_create1`/`epoll_ctl`/`epoll_wait`.
 //! - [`WakeHandle`]: the completion-wakeup channel from the engine's
-//!   executor threads into the loop — an `eventfd(2)` on Linux, a
-//!   `pipe(2)` with both ends set nonblocking via `fcntl` on the
-//!   fallback. Cloneable and `Send + Sync`; registered with the poller
-//!   like any descriptor, so an engine completion wakes `epoll_wait`
-//!   exactly like socket readiness does.
+//!   executor threads into the loop — an `eventfd(2)`. Cloneable and
+//!   `Send + Sync`; registered with the poller like any descriptor, so
+//!   an engine completion wakes `epoll_wait` exactly like socket
+//!   readiness does.
 //! - [`set_nonblocking`]: `fcntl(F_SETFL, O_NONBLOCK)` for accepted
 //!   sockets (`accept(2)` does not inherit the listener's flags).
 //!
-//! On non-unix targets every constructor returns
-//! [`io::ErrorKind::Unsupported`]: the daemon compiles but reports at
-//! startup that readiness serving needs a unix platform.
+//! Off Linux the poller and wakeup constructors return
+//! [`io::ErrorKind::Unsupported`](std::io::ErrorKind::Unsupported): the
+//! daemon compiles on other unix targets but reports at startup that
+//! readiness serving needs Linux.
 //!
 //! Every `unsafe` block carries its own `SAFETY:` justification and the
 //! module is on the audit's unsafe-confinement allowlist
@@ -66,10 +63,8 @@ pub(crate) struct Event {
     pub(crate) ready: Readiness,
 }
 
-#[cfg(unix)]
 pub(crate) use imp::{set_nonblocking, Poller, WakeHandle};
 
-#[cfg(unix)]
 pub(crate) type RawFd = std::os::unix::io::RawFd;
 
 #[cfg(target_os = "linux")]
@@ -317,228 +312,21 @@ mod imp {
     }
 }
 
-#[cfg(all(unix, not(target_os = "linux")))]
+#[cfg(not(target_os = "linux"))]
 mod imp {
-    //! The portable fallback: `poll(2)` plus a nonblocking `pipe(2)`.
-    //! Registrations live in user space; each wait rebuilds the pollfd
-    //! array — O(fds) per wait, but correct on every unix.
+    //! Off-Linux stub: the daemon compiles, but the poller and wakeup
+    //! constructors report readiness serving unsupported, which
+    //! `Server::run` turns into a startup error. Both types are
+    //! uninhabited, so nothing past construction can run.
 
-    use super::{Event, Interest, Readiness};
-    use std::ffi::{c_int, c_ulong};
-    use std::io;
-    use std::os::fd::{FromRawFd, OwnedFd};
-    use std::os::unix::io::{AsRawFd, RawFd};
-    use std::sync::Arc;
-    use std::time::Duration;
-
-    /// POSIX `poll`/`fcntl` constants shared by the BSD-family targets
-    /// this fallback serves.
-    const POLLIN: i16 = 0x001;
-    const POLLOUT: i16 = 0x004;
-    const POLLERR: i16 = 0x008;
-    const POLLHUP: i16 = 0x010;
-    const F_GETFL: c_int = 3;
-    const F_SETFL: c_int = 4;
-    const O_NONBLOCK: c_int = 0x0004;
-
-    /// Mirror of `struct pollfd` (identical layout across unix targets).
-    #[repr(C)]
-    #[derive(Clone, Copy)]
-    struct PollFd {
-        fd: c_int,
-        events: i16,
-        revents: i16,
-    }
-
-    extern "C" {
-        /// `poll(2)`: blocks up to `timeout` ms for readiness.
-        fn poll(fds: *mut PollFd, nfds: c_ulong, timeout: c_int) -> c_int;
-        /// `pipe(2)`: the self-pipe used as the wakeup channel.
-        fn pipe(fds: *mut c_int) -> c_int;
-        /// `read(2)` / `write(2)`: used only on the self-pipe.
-        fn read(fd: c_int, buf: *mut u8, count: usize) -> isize;
-        fn write(fd: c_int, buf: *const u8, count: usize) -> isize;
-        /// `fcntl(2)`: get/set descriptor status flags (`O_NONBLOCK`).
-        fn fcntl(fd: c_int, cmd: c_int, arg: c_int) -> c_int;
-    }
-
-    fn check(ret: c_int) -> io::Result<c_int> {
-        if ret < 0 {
-            Err(io::Error::last_os_error())
-        } else {
-            Ok(ret)
-        }
-    }
-
-    /// Marks `fd` nonblocking (see the Linux twin for the contract).
-    pub(crate) fn set_nonblocking(fd: RawFd) -> io::Result<()> {
-        // SAFETY: `fcntl(F_GETFL)` on a caller-owned open descriptor
-        // reads its status flags; no memory is passed.
-        let flags = check(unsafe { fcntl(fd, F_GETFL, 0) })?;
-        // SAFETY: `fcntl(F_SETFL)` with the flags just read plus
-        // `O_NONBLOCK` only changes I/O mode.
-        check(unsafe { fcntl(fd, F_SETFL, flags | O_NONBLOCK) })?;
-        Ok(())
-    }
-
-    /// Level-triggered readiness via `poll(2)` over a user-space
-    /// registration list.
-    pub(crate) struct Poller {
-        registered: Vec<(RawFd, u64, Interest)>,
-        buf: Vec<PollFd>,
-    }
-
-    impl Poller {
-        pub(crate) fn new() -> io::Result<Poller> {
-            Ok(Poller {
-                registered: Vec::new(),
-                buf: Vec::new(),
-            })
-        }
-
-        pub(crate) fn register(
-            &mut self,
-            fd: RawFd,
-            token: u64,
-            interest: Interest,
-        ) -> io::Result<()> {
-            self.registered.push((fd, token, interest));
-            Ok(())
-        }
-
-        pub(crate) fn reregister(
-            &mut self,
-            fd: RawFd,
-            token: u64,
-            interest: Interest,
-        ) -> io::Result<()> {
-            for slot in &mut self.registered {
-                if slot.0 == fd {
-                    *slot = (fd, token, interest);
-                    return Ok(());
-                }
-            }
-            Err(io::Error::from(io::ErrorKind::NotFound))
-        }
-
-        pub(crate) fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
-            self.registered.retain(|(f, _, _)| *f != fd);
-            Ok(())
-        }
-
-        pub(crate) fn wait(
-            &mut self,
-            events: &mut Vec<Event>,
-            timeout: Duration,
-        ) -> io::Result<()> {
-            events.clear();
-            self.buf.clear();
-            for &(fd, _, interest) in &self.registered {
-                let mut mask = 0;
-                if interest.readable {
-                    mask |= POLLIN;
-                }
-                if interest.writable {
-                    mask |= POLLOUT;
-                }
-                self.buf.push(PollFd {
-                    fd,
-                    events: mask,
-                    revents: 0,
-                });
-            }
-            let millis = c_int::try_from(timeout.as_millis()).unwrap_or(c_int::MAX);
-            let nfds = self.buf.len() as c_ulong;
-            // SAFETY: `buf` is a live, initialized Vec of exactly `nfds`
-            // `PollFd`s matching the C layout; the kernel reads `events`
-            // and writes `revents` strictly inside the allocation.
-            check(unsafe { poll(self.buf.as_mut_ptr(), nfds, millis) })?;
-            for (slot, &(_, token, _)) in self.buf.iter().zip(&self.registered) {
-                if slot.revents == 0 {
-                    continue;
-                }
-                events.push(Event {
-                    token,
-                    ready: Readiness {
-                        readable: slot.revents & (POLLIN | POLLHUP) != 0,
-                        writable: slot.revents & POLLOUT != 0,
-                        hangup: slot.revents & (POLLERR | POLLHUP) != 0,
-                    },
-                });
-            }
-            Ok(())
-        }
-    }
-
-    /// The engine-pool → event-loop wakeup channel: a self-pipe with
-    /// both ends nonblocking.
-    #[derive(Clone)]
-    pub(crate) struct WakeHandle {
-        ends: Arc<(OwnedFd, OwnedFd)>,
-    }
-
-    impl WakeHandle {
-        pub(crate) fn new() -> io::Result<WakeHandle> {
-            let mut fds: [c_int; 2] = [-1, -1];
-            // SAFETY: `pipe` writes exactly two descriptors into the
-            // live 2-element array passed to it.
-            check(unsafe { pipe(fds.as_mut_ptr()) })?;
-            // SAFETY: both descriptors were just created by a successful
-            // `pipe` call; wrapping them transfers sole ownership to the
-            // `OwnedFd`s, each closed exactly once on drop.
-            let ends = unsafe { (OwnedFd::from_raw_fd(fds[0]), OwnedFd::from_raw_fd(fds[1])) };
-            set_nonblocking(ends.0.as_raw_fd())?;
-            set_nonblocking(ends.1.as_raw_fd())?;
-            Ok(WakeHandle {
-                ends: Arc::new(ends),
-            })
-        }
-
-        /// The read end, registered with the poller (readable interest).
-        pub(crate) fn raw_fd(&self) -> RawFd {
-            self.ends.0.as_raw_fd()
-        }
-
-        /// Wakes the loop. A full pipe (`EAGAIN`) is fine: the pipe is
-        /// already readable, which is all a wakeup needs.
-        pub(crate) fn notify(&self) {
-            let byte = [1_u8];
-            // SAFETY: writes one byte from a live stack buffer to the
-            // pipe's write end, kept open by this handle's `Arc`.
-            let _ = unsafe { write(self.ends.1.as_raw_fd(), byte.as_ptr(), 1) };
-        }
-
-        /// Consumes pending wakeup bytes until the pipe is empty.
-        pub(crate) fn drain(&self) {
-            let mut sink = [0_u8; 64];
-            loop {
-                // SAFETY: reads at most `sink.len()` bytes into a live
-                // stack buffer; the nonblocking read returns <= 0 when
-                // the pipe is empty, ending the loop.
-                let n = unsafe { read(self.ends.0.as_raw_fd(), sink.as_mut_ptr(), sink.len()) };
-                if n <= 0 {
-                    break;
-                }
-            }
-        }
-    }
-}
-
-#[cfg(not(unix))]
-mod imp {
-    //! Non-unix stub: the daemon compiles, but readiness serving reports
-    //! itself unsupported at startup.
-
-    use super::{Event, Interest};
+    use super::{Event, Interest, RawFd};
     use std::io;
     use std::time::Duration;
-
-    pub(crate) type RawFd = i32;
 
     fn unsupported() -> io::Error {
         io::Error::new(
             io::ErrorKind::Unsupported,
-            "the serve reactor requires a unix platform (epoll/poll readiness)",
+            "the serve reactor requires Linux (epoll readiness)",
         )
     }
 
@@ -546,7 +334,7 @@ mod imp {
         Err(unsupported())
     }
 
-    pub(crate) struct Poller;
+    pub(crate) enum Poller {}
 
     impl Poller {
         pub(crate) fn new() -> io::Result<Poller> {
@@ -554,7 +342,7 @@ mod imp {
         }
 
         pub(crate) fn register(&mut self, _fd: RawFd, _token: u64, _i: Interest) -> io::Result<()> {
-            Err(unsupported())
+            match *self {}
         }
 
         pub(crate) fn reregister(
@@ -563,20 +351,20 @@ mod imp {
             _token: u64,
             _i: Interest,
         ) -> io::Result<()> {
-            Err(unsupported())
+            match *self {}
         }
 
         pub(crate) fn deregister(&mut self, _fd: RawFd) -> io::Result<()> {
-            Err(unsupported())
+            match *self {}
         }
 
         pub(crate) fn wait(&mut self, _events: &mut Vec<Event>, _t: Duration) -> io::Result<()> {
-            Err(unsupported())
+            match *self {}
         }
     }
 
     #[derive(Clone)]
-    pub(crate) struct WakeHandle;
+    pub(crate) enum WakeHandle {}
 
     impl WakeHandle {
         pub(crate) fn new() -> io::Result<WakeHandle> {
@@ -584,19 +372,20 @@ mod imp {
         }
 
         pub(crate) fn raw_fd(&self) -> RawFd {
-            -1
+            match *self {}
         }
 
-        pub(crate) fn notify(&self) {}
+        pub(crate) fn notify(&self) {
+            match *self {}
+        }
 
-        pub(crate) fn drain(&self) {}
+        pub(crate) fn drain(&self) {
+            match *self {}
+        }
     }
 }
 
-#[cfg(not(unix))]
-pub(crate) use imp::{set_nonblocking, Poller, RawFd, WakeHandle};
-
-#[cfg(all(test, unix))]
+#[cfg(all(test, target_os = "linux"))]
 mod tests {
     use super::*;
     use std::io::{Read, Write};

@@ -313,6 +313,66 @@ fn one_greedy_pipeliner_cannot_monopolize_the_budget() {
 }
 
 #[test]
+fn lines_sharing_one_id_each_hold_a_budget_permit() {
+    // Budget of 2. A flooder streams 8 sweeps that all carry id `x`
+    // while a modest client asks for one. Each `x` line holds its own
+    // permit (permits count requests, not distinct ids), so the flood
+    // parks behind the fair budget like any other, the modest client is
+    // admitted in turn, and every `x` is still answered.
+    let server = TestServer::start(2, 8);
+    let mut flood = server.connect();
+    for _ in 0..8 {
+        flood
+            .send_raw(&testkit::heavy_sweep_line("x", 24, 600))
+            .expect("send flood sweep");
+    }
+    let mut modest = server.connect();
+    modest
+        .send_raw(&testkit::sweep_line("m", 4, &[1.0, 2.0]))
+        .expect("send modest sweep");
+    assert!(modest.wait("m").expect("modest response").has_cells());
+    let deadline = Instant::now() + DEADLINE;
+    for _ in 0..8 {
+        let response = flood
+            .next_response(deadline)
+            .expect("flood response")
+            .expect("flood response before EOF");
+        assert_eq!(response.id(), "x", "{}", response.line);
+        assert!(response.has_cells(), "{}", response.line);
+    }
+    let stats = flood.stats("st").expect("flood stats");
+    assert_eq!(number(&stats, &["stats", "conn", "pending"]), 0.0);
+
+    // A client that vanishes with two same-id tickets running withdraws
+    // both: it counts two abandoned requests, not one id. Each sweep
+    // has its own reply-time rate, so each is a cold, slow evaluation
+    // still running when the hangup is seen.
+    let mut quitter = server.connect();
+    for i in 0..6 {
+        let cold = testkit::heavy_sweep_line("y", 24, 600)
+            .replace("\"rate\":10.0", &format!("\"rate\":{}.5", 20 + i));
+        quitter.send_raw(&cold).expect("send quitter sweep");
+    }
+    drop(quitter);
+    modest
+        .send_raw(&testkit::sweep_line("m2", 4, &[1.0, 2.0]))
+        .expect("send second modest sweep");
+    assert!(modest
+        .wait("m2")
+        .expect("second modest response")
+        .has_cells());
+    let stats = modest.stats("st").expect("modest stats");
+    assert_eq!(
+        number(&stats, &["stats", "server", "cancelled_on_disconnect"]),
+        2.0,
+        "{}",
+        stats.line
+    );
+    let summary = server.stop();
+    assert!(summary.contains("drained cleanly"), "{summary}");
+}
+
+#[test]
 fn overload_past_max_conns_refuses_structurally_and_recovers() {
     // 300 clients against --max-conns 256: exactly 256 are admitted and
     // answered, the other 44 get one structured refusal line and a
@@ -428,9 +488,9 @@ fn one_reactor_thread_holds_a_thousand_idle_conns_and_serves_64_pipeliners() {
 
     // The acceptance bar for the reactor rewrite: >=1000 concurrent
     // established connections on one event-loop thread while 64 clients
-    // actively pipeline. Idle connections must cost no executor threads
-    // (sessions spawn lazily on the first request line), so holding a
-    // thousand of them is cheap.
+    // actively pipeline. No connection costs a thread (every session is
+    // a handle on the server's one executor team), so holding a thousand
+    // of them is cheap.
     const IDLE: usize = 1000;
     const ACTIVE: usize = 64;
     const PIPELINE: usize = 8;
@@ -636,4 +696,115 @@ fn sigterm_drains_the_spawned_daemon_losslessly() {
         .expect("read daemon summary");
     assert!(rest.contains("drained cleanly"), "{rest}");
     assert!(!socket.exists(), "socket file must be unlinked on drain");
+}
+
+/// The real `zeroconf-serve` binary at its default flags on an ephemeral
+/// loopback port, killed and reaped on drop.
+#[cfg(target_os = "linux")]
+struct SpawnedDaemon {
+    child: std::process::Child,
+    addr: String,
+}
+
+#[cfg(target_os = "linux")]
+impl SpawnedDaemon {
+    fn start() -> SpawnedDaemon {
+        use std::io::{BufRead, BufReader};
+
+        let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_zeroconf-serve"))
+            .args(["--tcp", "127.0.0.1:0"])
+            .stdout(std::process::Stdio::piped())
+            .spawn()
+            .expect("spawn zeroconf-serve");
+        let mut announce = String::new();
+        BufReader::new(child.stdout.take().expect("capture child stdout"))
+            .read_line(&mut announce)
+            .expect("read listening line");
+        let addr = announce
+            .trim()
+            .strip_prefix("listening tcp:")
+            .unwrap_or_else(|| panic!("unexpected announce line {announce:?}"))
+            .to_owned();
+        SpawnedDaemon { child, addr }
+    }
+
+    fn connect(&self) -> Client {
+        Client::connect_tcp(&self.addr).expect("connect to spawned daemon")
+    }
+
+    /// The daemon's live thread count, from its own `/proc` entry (the
+    /// test process runs other tests' threads in parallel).
+    fn threads(&self) -> usize {
+        std::fs::read_dir(format!("/proc/{}/task", self.child.id()))
+            .expect("read the daemon's task list")
+            .count()
+    }
+}
+
+#[cfg(target_os = "linux")]
+impl Drop for SpawnedDaemon {
+    fn drop(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+    }
+}
+
+/// Thread use is bounded by configuration, never by clients: the daemon
+/// runs one executor team, so a connection that sends work adds no
+/// thread.
+#[cfg(target_os = "linux")]
+#[test]
+fn daemon_thread_count_does_not_grow_with_busy_connections() {
+    let daemon = SpawnedDaemon::start();
+    let mut clients = Vec::new();
+    let sweep_on_a_new_connection = |clients: &mut Vec<Client>| {
+        let mut client = daemon.connect();
+        let id = format!("s{}", clients.len());
+        client
+            .send_raw(&testkit::sweep_line(&id, 4, &[1.0, 2.0]))
+            .expect("send sweep");
+        assert!(client.wait(&id).expect("sweep answer").has_cells());
+        clients.push(client);
+    };
+    sweep_on_a_new_connection(&mut clients);
+    let with_one = daemon.threads();
+    // 64 is the default --max-conns.
+    while clients.len() < 64 {
+        sweep_on_a_new_connection(&mut clients);
+    }
+    assert_eq!(
+        daemon.threads(),
+        with_one,
+        "64 busy connections must run on the threads one connection had"
+    );
+}
+
+/// One client line nested 200 000 levels deep must not exhaust the
+/// reactor thread's stack in the recursive JSON parser (that would abort
+/// the daemon and every client with it): it is one error line, and the
+/// same connection is served on.
+#[cfg(target_os = "linux")]
+#[test]
+fn deeply_nested_line_is_one_error_and_the_connection_serves_on() {
+    let daemon = SpawnedDaemon::start();
+    let mut client = daemon.connect();
+    client
+        .send_raw(&"[".repeat(200_000))
+        .expect("send nested line");
+    client
+        .send_raw(&testkit::sweep_line("s1", 4, &[1.0, 2.0]))
+        .expect("send sweep");
+    let error = client
+        .next_line()
+        .expect("read error line")
+        .expect("error line before EOF");
+    assert!(error.contains("nesting deeper than"), "{error}");
+    let answer = client
+        .next_line()
+        .expect("read sweep answer")
+        .expect("sweep answer before EOF");
+    assert!(
+        answer.contains("\"id\":\"s1\"") && answer.contains("\"cells\""),
+        "{answer}"
+    );
 }
