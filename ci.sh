@@ -126,33 +126,33 @@ for id in k f; do
   fi
 done
 
-echo "==> engine session smoke test (--mmap spill tier)"
-# Same request twice against a spill directory with the mmap tier on:
-# the second process must answer identically while serving its π-tables
-# from read-only mappings of the first process's spill files.
-MMAP_DIR="$PWD/target/ci-mmap-spills"
-rm -rf "$MMAP_DIR"
-MMAP_REQ='{"v":1,"id":"m","scenario":{"q":0.5,"probe_cost":2.0,"error_cost":1e6,"reply_time":{"kind":"exponential","loss":1e-6,"rate":10.0,"delay":1.0}},"grid":{"n_max":8,"r":[0.5,1.0,2.0]}}'
-MMAP_COLD="$(printf '%s\n' "$MMAP_REQ" | ./target/release/zeroconf engine --cache-dir "$MMAP_DIR" --mmap)"
-MMAP_WARM="$(printf '%s\n' "$MMAP_REQ" | ./target/release/zeroconf engine --cache-dir "$MMAP_DIR" --mmap)"
+echo "==> engine session smoke test (spill tier)"
+# Same request twice against a spill directory: the second process must
+# answer identically while reading every π-table from the first
+# process's spill files.
+SPILL_DIR="$PWD/target/ci-spills"
+rm -rf "$SPILL_DIR"
+SPILL_REQ='{"v":1,"id":"m","scenario":{"q":0.5,"probe_cost":2.0,"error_cost":1e6,"reply_time":{"kind":"exponential","loss":1e-6,"rate":10.0,"delay":1.0}},"grid":{"n_max":8,"r":[0.5,1.0,2.0]}}'
+SPILL_COLD="$(printf '%s\n' "$SPILL_REQ" | ./target/release/zeroconf engine --cache-dir "$SPILL_DIR")"
+SPILL_WARM="$(printf '%s\n' "$SPILL_REQ" | ./target/release/zeroconf engine --cache-dir "$SPILL_DIR")"
 # The stats block (wall time, hit/miss counters) legitimately differs
 # between the runs; the landscape cells must not.
 strip_stats() { sed 's/,"stats":{[^}]*}//' <<<"$1"; }
-if [[ "$(strip_stats "$MMAP_COLD")" != "$(strip_stats "$MMAP_WARM")" ]]; then
-  echo "ci: --mmap warm run diverged from the cold run" >&2
-  printf 'cold: %s\nwarm: %s\n' "$MMAP_COLD" "$MMAP_WARM" >&2
+if [[ "$(strip_stats "$SPILL_COLD")" != "$(strip_stats "$SPILL_WARM")" ]]; then
+  echo "ci: spill-served warm run diverged from the cold run" >&2
+  printf 'cold: %s\nwarm: %s\n' "$SPILL_COLD" "$SPILL_WARM" >&2
   exit 1
 fi
-grep -q '"cache_misses":0' <<<"$MMAP_WARM" || {
-  echo "ci: --mmap warm run recomputed tables instead of serving spills" >&2
-  echo "$MMAP_WARM" >&2
+grep -q '"cache_misses":0' <<<"$SPILL_WARM" || {
+  echo "ci: warm run recomputed tables instead of reading spills" >&2
+  echo "$SPILL_WARM" >&2
   exit 1
 }
-if ! ls "$MMAP_DIR"/pi-*.tbl >/dev/null 2>&1; then
-  echo "ci: --mmap run left no spill files in $MMAP_DIR" >&2
+if ! ls "$SPILL_DIR"/pi-*.tbl >/dev/null 2>&1; then
+  echo "ci: cold run left no spill files in $SPILL_DIR" >&2
   exit 1
 fi
-rm -rf "$MMAP_DIR"
+rm -rf "$SPILL_DIR"
 
 echo "==> engine throughput bench smoke (--samples 2)"
 # A 2-sample run keeps the gate fast; ZEROCONF_BENCH_THREADS pins the
@@ -182,7 +182,7 @@ for path in sys.argv[1:]:
         "kernel/legacy-per-n/columns",
         "kernel/block/columns",
         "kernel/block/simd",
-        "engine/warm-mmap/threads=1",
+        "engine/spill-start/threads=1",
         "engine/frontier/warm",
         "engine/frontier/per-point-recompute",
         "engine/calibrate/warm",

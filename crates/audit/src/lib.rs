@@ -1,8 +1,7 @@
 //! `zeroconf-audit` — the workspace's static-analysis gate.
 //!
-//! PR 3 and PR 4 pushed the engine's hot path into `unsafe` territory
-//! (disjoint shared-slab writes in `engine/pool.rs`, an mmap-served spill
-//! tier in `engine/cache.rs`) with correctness argued in prose. This crate
+//! The engine's hot path uses `unsafe` (disjoint shared-slab writes in
+//! `engine/pool.rs`) with correctness argued in prose. This crate
 //! is the machine-checked version of that prose — the same move the
 //! model-checking literature makes for the protocol itself: encode the
 //! invariants once, re-check them on every change. Eight rules, each a

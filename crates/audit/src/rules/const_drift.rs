@@ -39,7 +39,7 @@ pub const PINNED_CONSTS: &[(&str, &str)] = &[
     ("ROW_KERNEL_SINGLE_PASS", BENCH_SCHEMA),
     ("ROW_KERNEL_LEGACY", BENCH_SCHEMA),
     ("ROW_KERNEL_BLOCK_SIMD", BENCH_SCHEMA),
-    ("ROW_ENGINE_WARM_MMAP", BENCH_SCHEMA),
+    ("ROW_ENGINE_SPILL_START", BENCH_SCHEMA),
     ("ROW_FRONTIER_WARM", BENCH_SCHEMA),
     ("ROW_FRONTIER_RECOMPUTE", BENCH_SCHEMA),
     ("ROW_CALIBRATE_WARM", BENCH_SCHEMA),
@@ -84,8 +84,8 @@ pub const PINNED_LITERALS: &[(&str, &str, &str)] = &[
     ),
     ("kernel/block/simd", "ROW_KERNEL_BLOCK_SIMD", BENCH_SCHEMA),
     (
-        "engine/warm-mmap/threads=1",
-        "ROW_ENGINE_WARM_MMAP",
+        "engine/spill-start/threads=1",
+        "ROW_ENGINE_SPILL_START",
         BENCH_SCHEMA,
     ),
     ("engine/frontier/warm", "ROW_FRONTIER_WARM", BENCH_SCHEMA),
@@ -291,7 +291,7 @@ mod tests {
                  pub const ROW_KERNEL_SINGLE_PASS: &str = \"kernel/single-pass/columns\";\n\
                  pub const ROW_KERNEL_LEGACY: &str = \"kernel/legacy-per-n/columns\";\n\
                  pub const ROW_KERNEL_BLOCK_SIMD: &str = \"kernel/block/simd\";\n\
-                 pub const ROW_ENGINE_WARM_MMAP: &str = \"engine/warm-mmap/threads=1\";\n\
+                 pub const ROW_ENGINE_SPILL_START: &str = \"engine/spill-start/threads=1\";\n\
                  pub const ROW_STEM_ENGINE: &str = \"engine\";\n\
                  pub const ROW_STEM_SESSION: &str = \"engine/session\";\n\
                  pub const ROW_STEM_SERVE: &str = \"engine/serve\";\n\
@@ -398,9 +398,12 @@ mod tests {
         let mut files = healthy();
         files.retain(|f| f.path != BENCH_SCHEMA);
         let findings = check(&files);
-        assert!(findings
-            .iter()
-            .any(|f| f.message.contains("ROW_ENGINE_WARM_MMAP") && f.message.contains("missing")));
+        assert!(
+            findings
+                .iter()
+                .any(|f| f.message.contains("ROW_ENGINE_SPILL_START")
+                    && f.message.contains("missing"))
+        );
         assert!(findings
             .iter()
             .any(|f| f.message.contains("FIELD_MEDIAN_NS") && f.message.contains("missing")));

@@ -6,7 +6,7 @@
 //! trusted assertion the compiler cannot check — a wrong parameter type
 //! or a misread error convention is silent UB or a silently swallowed
 //! errno. This rule keeps that surface enumerable: every `extern "C"`
-//! function — block declarations (`extern "C" { fn mmap(...); }`) and
+//! function — block declarations (`extern "C" { fn epoll_wait(...); }`) and
 //! definitions (`extern "C" fn on_termination(...)`) alike — must appear
 //! in [`MANIFEST_PATH`], one per line:
 //!
@@ -15,7 +15,7 @@
 //! ```
 //!
 //! The errno-convention field records how failure is signalled
-//! (`neg-ret+errno`, `MAP_FAILED+errno`, `SIG_ERR`, `callback` for
+//! (`neg-ret+errno`, `SIG_ERR`, `callback` for
 //! exported definitions, …) so each call site's `check`/`last_os_error`
 //! handling can be reviewed against it. Symbols missing from the manifest
 //! are denials; manifest entries whose symbol is gone are warnings

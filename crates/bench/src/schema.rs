@@ -28,8 +28,9 @@ pub const ROW_KERNEL_LEGACY: &str = "kernel/legacy-per-n/columns";
 /// Row label: the blocked batch kernel on the widest detected SIMD tier
 /// (exact mode — bit-identical to [`ROW_KERNEL_BLOCK`]'s results).
 pub const ROW_KERNEL_BLOCK_SIMD: &str = "kernel/block/simd";
-/// Row label: the warm sweep served entirely from mmap'd spill files.
-pub const ROW_ENGINE_WARM_MMAP: &str = "engine/warm-mmap/threads=1";
+/// Row label: a fresh engine's first sweep served entirely from spill
+/// files an earlier engine wrote (zero π recomputation).
+pub const ROW_ENGINE_SPILL_START: &str = "engine/spill-start/threads=1";
 /// Row label: a 64×64 `(E, c)` Pareto frontier against the warm
 /// sufficient-statistic cache (zero π recomputation).
 pub const ROW_FRONTIER_WARM: &str = "engine/frontier/warm";
@@ -57,7 +58,7 @@ pub const ROW_SERVE_OVERLOAD: &str = "engine/serve/overload/max-conns";
 
 /// Field name: the row label itself.
 pub const FIELD_ID: &str = "id";
-/// Field name: cache regime (`cold`, `warm`, `warm-mmap`).
+/// Field name: cache regime (`cold`, `warm`, `spill-start`).
 pub const FIELD_CACHE: &str = "cache";
 /// Field name: worker threads used by the run.
 pub const FIELD_THREADS: &str = "threads";
@@ -203,7 +204,7 @@ mod tests {
         assert_eq!(row_serve_conns(64), "engine/serve/conns=64");
         assert!(ROW_STEM_SERVE.starts_with(ROW_STEM_ENGINE));
         assert!(ROW_SERVE_OVERLOAD.starts_with(ROW_STEM_SERVE));
-        assert!(ROW_ENGINE_WARM_MMAP.starts_with(ROW_STEM_ENGINE));
+        assert!(ROW_ENGINE_SPILL_START.starts_with(ROW_STEM_ENGINE));
         assert!(ROW_KERNEL_BLOCK_SIMD.starts_with("kernel/block/"));
         assert!(ROW_FRONTIER_WARM.starts_with(ROW_STEM_ENGINE));
         assert!(ROW_FRONTIER_RECOMPUTE.starts_with(ROW_STEM_ENGINE));

@@ -168,44 +168,33 @@ struct EngineOptions {
     workers: usize,
     cache_tables: usize,
     cache_dir: Option<std::path::PathBuf>,
-    mmap_spills: bool,
     kernel: zeroconf_engine::KernelChoice,
     inflight: usize,
     emit_stats: bool,
 }
 
+/// The value flags of the `engine` subcommand.
+const ENGINE_FLAGS: [&str; 5] = ["workers", "cache", "cache-dir", "inflight", "kernel"];
+
 fn engine_options(args: &[String]) -> Result<EngineOptions, CliError> {
-    // `--stats` and `--mmap` are bare switches; strip them before the
-    // value-flag parser.
-    let mut emit_stats = false;
-    let mut mmap_spills = false;
-    let positional: Vec<String> = args
+    // `--stats` is the one bare switch; strip it before the value-flag
+    // parser.
+    let emit_stats = args.iter().any(|a| a == "--stats");
+    let positional: Vec<String> = args.iter().filter(|a| *a != "--stats").cloned().collect();
+    // Names are checked before values, so a stray bare switch reads as
+    // unknown rather than as a flag missing its value.
+    let unknown: Vec<&str> = positional
         .iter()
-        .filter(|a| match a.as_str() {
-            "--stats" => {
-                emit_stats = true;
-                false
-            }
-            "--mmap" => {
-                mmap_spills = true;
-                false
-            }
-            _ => true,
+        .filter(|a| {
+            a.strip_prefix("--")
+                .is_some_and(|name| !ENGINE_FLAGS.contains(&name))
         })
-        .cloned()
+        .map(String::as_str)
         .collect();
-    let flags = Flags::parse(&positional)?;
-    let unknown = flags.unknown_flags(&[
-        "workers",
-        "cache",
-        "cache-dir",
-        "inflight",
-        "mmap",
-        "kernel",
-    ]);
     if !unknown.is_empty() {
         return Err(err(format!("unknown flags: {}", unknown.join(", "))));
     }
+    let flags = Flags::parse(&positional)?;
     let defaults = zeroconf_engine::EngineConfig::default();
     Ok(EngineOptions {
         workers: flags
@@ -215,7 +204,6 @@ fn engine_options(args: &[String]) -> Result<EngineOptions, CliError> {
             .number("cache")?
             .map_or(defaults.cache_tables, |c| c as usize),
         cache_dir: flags.get("cache-dir").map(std::path::PathBuf::from),
-        mmap_spills,
         kernel: parse_kernel_flag(flags.get("kernel"))?,
         inflight: flags.number("inflight")?.map_or(1, |n| n as usize),
         emit_stats,
@@ -252,9 +240,7 @@ pub fn engine_process(input: &str, args: &[String]) -> Result<String, CliError> 
         workers: options.workers.max(1),
         cache_tables: options.cache_tables.max(1),
         cache_dir: options.cache_dir.clone(),
-        mmap_spills: options.mmap_spills,
         kernel: options.kernel,
-        ..zeroconf_engine::EngineConfig::default()
     });
     let mut out = String::new();
     let push = |lines: Vec<String>, out: &mut String| {
@@ -374,10 +360,10 @@ pub fn usage() -> String {
      \u{20}  frontier: [--budget P] [--n-max N]\n\
      \u{20}  calibrate: --target-probes N --target-listen R\n\
      \u{20}  optimize: [--n-max N] [--r-max R]\n\
-     \u{20}  engine: [--workers N] [--cache TABLES] [--cache-dir PATH] [--mmap]\n\
+     \u{20}  engine: [--workers N] [--cache TABLES] [--cache-dir PATH]\n\
      \u{20}          [--kernel scalar|simd|auto] [--inflight N] [--stats]\n\
      \u{20}  serve: (--tcp ADDR | --unix PATH)... [--workers N] [--cache TABLES]\n\
-     \u{20}         [--cache-dir PATH] [--mmap] [--kernel scalar|simd|auto]\n\
+     \u{20}         [--cache-dir PATH] [--kernel scalar|simd|auto]\n\
      \u{20}         [--inflight N] [--max-conns N]\n\
      \u{20}  audit: [--deny-warnings] [--json] [--root PATH]\n\
      example:\n\
@@ -768,6 +754,20 @@ mod tests {
     fn engine_rejects_unknown_flags() {
         let e = engine_process("", &args("--bogus 1")).unwrap_err();
         assert!(e.0.contains("--bogus"), "{}", e.0);
+    }
+
+    /// The removed mmap spill tier left no switch behind: `--mmap` is an
+    /// unknown flag, bare or followed by other flags.
+    #[test]
+    fn engine_rejects_mmap_as_an_unknown_flag() {
+        for flags in [
+            "--stats --mmap",
+            "--cache-dir /tmp/x --mmap",
+            "--mmap --workers 1",
+        ] {
+            let e = engine_options(&args(flags)).unwrap_err();
+            assert!(e.0.contains("unknown flags: --mmap"), "{flags}: {}", e.0);
+        }
     }
 
     #[test]

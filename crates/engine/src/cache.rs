@@ -1,5 +1,4 @@
-//! The bounded π-table cache, with optional cross-process persistence
-//! and an mmap-served warm tier.
+//! The bounded π-table cache, with optional cross-process persistence.
 //!
 //! Eq. (1)'s running products `π_0(r) … π_{n_max}(r)` depend only on the
 //! reply-time distribution and `r` — not on the economic parameters `q`,
@@ -11,21 +10,13 @@
 //!
 //! With a spill directory configured, computed tables are additionally
 //! persisted as `(fingerprint, r_bits)`-named files so a later *process*
-//! re-walking the same grid skips the π recomputation too. Disk traffic
-//! is strictly best effort: unreadable, truncated or corrupt files are
-//! ordinary misses and failed writes lose nothing but the spill.
+//! re-walking the same grid skips the π recomputation too. A spill hit is
+//! read into an owned table. Disk traffic is strictly best effort:
+//! unreadable, truncated or corrupt files are ordinary misses and failed
+//! writes lose nothing but the spill.
 //!
-//! # Zero-copy warm hits
-//!
-//! Resident tables are handed out as [`PiTableRef`]s — either an owned
-//! slab behind an `Arc` or, with `mmap_spills` enabled, a read-only
-//! memory mapping of the spill file itself. The v2 spill layout keeps the
-//! f64 slab 8-aligned at a fixed offset, so a warm hit from disk costs
-//! one `mmap` and zero copies: the kernel reads the page cache directly.
-//! Writers never truncate in place — upgrades go through a same-directory
-//! temp file plus atomic rename — so live mappings stay valid (the old
-//! inode survives until the last mapping drops) and a reader can hold a
-//! shorter mapped table across a concurrent longest-wins upgrade.
+//! Resident tables are shared as `Arc<[f64]>`: a warm hit costs an `Arc`
+//! bump, never a slab copy.
 
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -41,56 +32,12 @@ pub(crate) fn r_key(r: f64) -> u64 {
     if r == 0.0 { 0.0f64 } else { r }.to_bits()
 }
 
-/// A shared, immutable π-table: owned or served straight from a spill
-/// mapping. Cloning is an `Arc` bump either way — never a slab copy.
-#[derive(Debug, Clone)]
-pub(crate) enum PiTableRef {
-    /// A table computed (or read) into process memory.
-    Owned(Arc<[f64]>),
-    /// A table served from a read-only mapping of its spill file.
-    Mapped(Arc<disk::MmapSlab>),
-}
-
-impl PiTableRef {
-    pub(crate) fn from_vec(table: Vec<f64>) -> PiTableRef {
-        PiTableRef::Owned(Arc::from(table))
-    }
-
-    pub(crate) fn as_slice(&self) -> &[f64] {
-        match self {
-            PiTableRef::Owned(table) => table,
-            PiTableRef::Mapped(slab) => slab.as_slice(),
-        }
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        self.as_slice().len()
-    }
-
-    /// Whether this table is served from a spill mapping (the zero-copy
-    /// tier) rather than an owned slab.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub(crate) fn is_mapped(&self) -> bool {
-        matches!(self, PiTableRef::Mapped(_))
-    }
-}
-
-impl std::ops::Deref for PiTableRef {
-    type Target = [f64];
-
-    fn deref(&self) -> &[f64] {
-        self.as_slice()
-    }
-}
-
-impl AsRef<[f64]> for PiTableRef {
-    fn as_ref(&self) -> &[f64] {
-        self.as_slice()
-    }
-}
+/// A shared, immutable π-table. Cloning is an `Arc` bump, never a slab
+/// copy.
+pub(crate) type PiTable = Arc<[f64]>;
 
 struct Entry {
-    table: PiTableRef,
+    table: PiTable,
     stamp: u64,
 }
 
@@ -117,7 +64,7 @@ impl PiCache {
     /// A cached table covering at least `n_max + 1` entries, bumping its
     /// recency. A resident but too-short table counts as a miss (the
     /// caller recomputes at the larger `n_max` and re-inserts).
-    fn lookup(&mut self, key: (u64, u64), n_max: u32) -> Option<PiTableRef> {
+    fn lookup(&mut self, key: (u64, u64), n_max: u32) -> Option<PiTable> {
         self.clock += 1;
         let clock = self.clock;
         let entry = self.entries.get_mut(&key)?;
@@ -136,7 +83,7 @@ impl PiCache {
             .is_some_and(|entry| entry.table.len() > n_max as usize)
     }
 
-    fn insert(&mut self, key: (u64, u64), table: PiTableRef) {
+    fn insert(&mut self, key: (u64, u64), table: PiTable) {
         self.clock += 1;
         let stamp = self.clock;
         if let Some(existing) = self.entries.get_mut(&key) {
@@ -178,12 +125,11 @@ impl PiCache {
 ///     32   8·N  π entries, f64 LE
 /// ```
 ///
-/// The 32-byte header is a multiple of 8, so in a page-aligned mapping
-/// the slab is naturally f64-aligned and can be served in place. The
-/// fingerprint and r bits are repeated inside the file so a renamed or
-/// misplaced spill can never masquerade as another table. Tables are
-/// bit-exact across processes because the bytes *are* the f64 bit
-/// patterns (spills are only written and mapped on little-endian hosts).
+/// The header is four fixed-width fields, so the slab starts at a fixed,
+/// 8-aligned offset. The fingerprint and r bits are repeated inside the
+/// file so a renamed or misplaced spill can never masquerade as another
+/// table. Tables are bit-exact across processes and hosts because each
+/// entry is stored as its f64 bit pattern in little-endian byte order.
 /// Version-1 files (`ZCPITAB1`) fail the magic check: a miss, upgraded
 /// in place by the next recompute.
 pub(crate) mod disk {
@@ -197,8 +143,7 @@ pub(crate) mod disk {
     /// reference this constant.
     pub const SPILL_MAGIC: &[u8; 8] = b"ZCPITAB2";
     /// Spill header width in bytes: magic, fingerprint, r bits, count —
-    /// four 8-byte fields, so a page-aligned mapping keeps the slab
-    /// f64-aligned.
+    /// four 8-byte fields.
     pub const SPILL_HEADER_LEN: usize = 32;
 
     pub(super) fn table_path(dir: &Path, fingerprint: u64, r_bits: u64) -> PathBuf {
@@ -265,9 +210,7 @@ pub(crate) mod disk {
     /// Spills `table`, best effort. Longest wins here too: a valid
     /// resident file covering at least as many entries is left alone, and
     /// the write goes through a same-directory temp file plus rename so a
-    /// concurrent reader never sees a partial table — and a concurrent
-    /// *mapping* of the old file stays valid, because the rename replaces
-    /// the directory entry while the mapped inode lives on.
+    /// concurrent reader never sees a partial table.
     pub(super) fn store(path: &Path, fingerprint: u64, r_bits: u64, table: &[f64]) {
         if stored_len(path, fingerprint, r_bits).is_some_and(|existing| existing >= table.len()) {
             return;
@@ -295,169 +238,6 @@ pub(crate) mod disk {
         let expected = (SPILL_HEADER_LEN).checked_add(count.checked_mul(8)?)? as u64;
         (file.metadata().ok()?.len() == expected).then_some(count)
     }
-
-    /// The platforms where spills can be served by mapping: `mmap` FFI
-    /// (std already links libc there) and a little-endian f64 layout that
-    /// matches the on-disk LE slab byte for byte.
-    #[cfg(all(unix, target_endian = "little", target_pointer_width = "64"))]
-    mod sys {
-        use std::ffi::c_void;
-
-        pub(super) const PROT_READ: i32 = 0x1;
-        pub(super) const MAP_PRIVATE: i32 = 0x2;
-
-        pub(super) fn map_failed() -> *mut c_void {
-            usize::MAX as *mut c_void
-        }
-
-        extern "C" {
-            pub(super) fn mmap(
-                addr: *mut c_void,
-                len: usize,
-                prot: i32,
-                flags: i32,
-                fd: i32,
-                offset: i64,
-            ) -> *mut c_void;
-            pub(super) fn munmap(addr: *mut c_void, len: usize) -> i32;
-        }
-    }
-
-    /// A read-only memory mapping of one spill file, serving its f64
-    /// slab in place.
-    ///
-    /// The mapping is private and never written, so sharing it across
-    /// threads is sound; the slab pointer is `base + SPILL_HEADER_LEN`,
-    /// 8-aligned
-    /// because mappings are page-aligned and the header is 32 bytes.
-    /// Unmapped on drop. `SIGBUS` on a truncated-under-us file is not a
-    /// concern in practice: writers in this codebase never truncate a
-    /// spill in place (temp file + rename only).
-    #[cfg(all(unix, target_endian = "little", target_pointer_width = "64"))]
-    pub(crate) struct MmapSlab {
-        base: *mut u8,
-        mapped: usize,
-        count: usize,
-    }
-
-    // SAFETY: the mapping is private, read-only and never mutated after
-    // construction, so references to it can move between threads freely.
-    #[cfg(all(unix, target_endian = "little", target_pointer_width = "64"))]
-    unsafe impl Send for MmapSlab {}
-    // SAFETY: same invariant — a read-only mapping is trivially
-    // data-race-free under shared access.
-    #[cfg(all(unix, target_endian = "little", target_pointer_width = "64"))]
-    unsafe impl Sync for MmapSlab {}
-
-    #[cfg(all(unix, target_endian = "little", target_pointer_width = "64"))]
-    impl MmapSlab {
-        pub(crate) fn as_slice(&self) -> &[f64] {
-            // SAFETY: the constructor validated `mapped >= SPILL_HEADER_LEN`,
-            // so `base + SPILL_HEADER_LEN` stays inside the mapping.
-            let slab = unsafe { self.base.add(SPILL_HEADER_LEN) };
-            debug_assert_eq!(slab.align_offset(std::mem::align_of::<f64>()), 0);
-            // SAFETY: the constructor validated
-            // `mapped == SPILL_HEADER_LEN + count·8`, the slab pointer is
-            // 8-aligned (page-aligned mapping + 32-byte header), and the
-            // read-only private mapping lives until drop, outliving the
-            // returned borrow of `self`.
-            unsafe { std::slice::from_raw_parts(slab.cast::<f64>(), self.count) }
-        }
-    }
-
-    #[cfg(all(unix, target_endian = "little", target_pointer_width = "64"))]
-    impl Drop for MmapSlab {
-        fn drop(&mut self) {
-            // SAFETY: `base`/`mapped` are exactly the address and length
-            // mmap returned, unmapped exactly once (here); failure leaks
-            // the mapping, which is harmless.
-            unsafe {
-                sys::munmap(self.base.cast(), self.mapped);
-            }
-        }
-    }
-
-    #[cfg(all(unix, target_endian = "little", target_pointer_width = "64"))]
-    impl std::fmt::Debug for MmapSlab {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            f.debug_struct("MmapSlab")
-                .field("count", &self.count)
-                .finish()
-        }
-    }
-
-    /// Maps a spilled table covering at least `n_max + 1` entries,
-    /// read-only and zero-copy. Same miss semantics as [`load`].
-    #[cfg(all(unix, target_endian = "little", target_pointer_width = "64"))]
-    pub(super) fn map(path: &Path, fingerprint: u64, r_bits: u64, n_max: u32) -> Option<MmapSlab> {
-        use std::os::unix::io::AsRawFd;
-
-        let file = fs::File::open(path).ok()?;
-        let len = usize::try_from(file.metadata().ok()?.len()).ok()?;
-        if len < SPILL_HEADER_LEN || !(len - SPILL_HEADER_LEN).is_multiple_of(8) {
-            return None;
-        }
-        // SAFETY: plain read-only private mapping of an open fd with the
-        // file's exact length; no requested address, zero offset. The fd stays
-        // open across the call and may close after — the mapping keeps
-        // the inode alive on its own.
-        let base = unsafe {
-            sys::mmap(
-                std::ptr::null_mut(),
-                len,
-                sys::PROT_READ,
-                sys::MAP_PRIVATE,
-                file.as_raw_fd(),
-                0,
-            )
-        };
-        if base.is_null() || base == sys::map_failed() {
-            return None;
-        }
-        // The slab owns the mapping from here: any early return unmaps.
-        let mut slab = MmapSlab {
-            base: base.cast::<u8>(),
-            mapped: len,
-            count: 0,
-        };
-        // SAFETY: `len >= SPILL_HEADER_LEN` was checked above, so the
-        // first header's worth of mapped bytes is readable; u8 has no
-        // alignment requirement.
-        let header = unsafe { std::slice::from_raw_parts(slab.base, SPILL_HEADER_LEN) };
-        let count = parse_header(header, fingerprint, r_bits)?;
-        if count <= n_max as usize || len != SPILL_HEADER_LEN.checked_add(count.checked_mul(8)?)? {
-            return None;
-        }
-        slab.count = count;
-        Some(slab)
-    }
-
-    /// Mapping is unavailable here (non-unix, big-endian or 32-bit):
-    /// every map attempt is a miss and the owned loader takes over. The
-    /// slab type still exists so [`super::PiTableRef`] compiles, but it
-    /// can never be constructed.
-    #[cfg(not(all(unix, target_endian = "little", target_pointer_width = "64")))]
-    #[derive(Debug)]
-    pub(crate) struct MmapSlab {
-        never: std::convert::Infallible,
-    }
-
-    #[cfg(not(all(unix, target_endian = "little", target_pointer_width = "64")))]
-    impl MmapSlab {
-        pub(crate) fn as_slice(&self) -> &[f64] {
-            match self.never {}
-        }
-    }
-
-    #[cfg(not(all(unix, target_endian = "little", target_pointer_width = "64")))]
-    pub(super) fn map(
-        _path: &Path,
-        _fingerprint: u64,
-        _r_bits: u64,
-        _n_max: u32,
-    ) -> Option<MmapSlab> {
-        None
-    }
 }
 
 /// The cache plus its lifetime hit/miss counters, shared between the
@@ -466,14 +246,12 @@ pub(crate) struct SharedCache {
     inner: Mutex<PiCache>,
     /// Spill directory for cross-process persistence; `None` disables it.
     dir: Option<PathBuf>,
-    /// Serve warm disk hits from read-only mappings instead of copying.
-    mmap_spills: bool,
     hits: AtomicU64,
     misses: AtomicU64,
 }
 
 impl SharedCache {
-    pub(crate) fn new(capacity: usize, dir: Option<PathBuf>, mmap_spills: bool) -> SharedCache {
+    pub(crate) fn new(capacity: usize, dir: Option<PathBuf>) -> SharedCache {
         if let Some(dir) = &dir {
             // Best effort, like all spill IO: an uncreatable directory
             // just means every disk probe misses.
@@ -482,7 +260,6 @@ impl SharedCache {
         SharedCache {
             inner: Mutex::new(PiCache::new(capacity)),
             dir,
-            mmap_spills,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
@@ -494,17 +271,10 @@ impl SharedCache {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// The spill tier's answer for one key: a zero-copy mapping when
-    /// enabled and possible, an owned read otherwise.
-    fn load_spill(&self, key: (u64, u64), n_max: u32) -> Option<PiTableRef> {
+    /// The spill tier's answer for one key, read into an owned table.
+    fn load_spill(&self, key: (u64, u64), n_max: u32) -> Option<PiTable> {
         let dir = self.dir.as_ref()?;
-        let path = disk::table_path(dir, key.0, key.1);
-        if self.mmap_spills {
-            if let Some(slab) = disk::map(&path, key.0, key.1, n_max) {
-                return Some(PiTableRef::Mapped(Arc::new(slab)));
-            }
-        }
-        disk::load(&path, key.0, key.1, n_max).map(PiTableRef::from_vec)
+        disk::load(&disk::table_path(dir, key.0, key.1), key.0, key.1, n_max).map(Arc::from)
     }
 
     /// Fetches the table for `(fingerprint, r)` covering `n_max`, or
@@ -520,7 +290,7 @@ impl SharedCache {
         r: f64,
         n_max: u32,
         compute: impl FnOnce() -> Result<Vec<f64>, E>,
-    ) -> Result<(PiTableRef, bool), E> {
+    ) -> Result<(PiTable, bool), E> {
         let (mut tables, _, misses) =
             self.get_or_compute_block(fingerprint, std::slice::from_ref(&r), n_max, |_| {
                 Ok(vec![compute()?])
@@ -548,8 +318,8 @@ impl SharedCache {
         rs: &[f64],
         n_max: u32,
         compute: impl FnOnce(&[f64]) -> Result<Vec<Vec<f64>>, E>,
-    ) -> Result<(Vec<PiTableRef>, u64, u64), E> {
-        let mut tables: Vec<Option<PiTableRef>> = vec![None; rs.len()];
+    ) -> Result<(Vec<PiTable>, u64, u64), E> {
+        let mut tables: Vec<Option<PiTable>> = vec![None; rs.len()];
         let mut missing: Vec<usize> = Vec::new();
         {
             let mut cache = self.lock();
@@ -587,7 +357,7 @@ impl SharedCache {
                 if let Some(dir) = &self.dir {
                     disk::store(&disk::table_path(dir, key.0, key.1), key.0, key.1, &table);
                 }
-                let table = PiTableRef::from_vec(table);
+                let table = PiTable::from(table);
                 self.lock().insert(key, table.clone());
                 tables[j] = Some(table);
             }
@@ -649,14 +419,14 @@ mod tests {
         ))
     }
 
-    /// Whether the two refs serve the same underlying slab (zero copy).
-    fn same_slab(a: &PiTableRef, b: &PiTableRef) -> bool {
-        std::ptr::eq(a.as_slice().as_ptr(), b.as_slice().as_ptr())
+    /// Whether the two tables share one slab (zero copy).
+    fn same_slab(a: &PiTable, b: &PiTable) -> bool {
+        Arc::ptr_eq(a, b)
     }
 
     #[test]
     fn second_lookup_hits() {
-        let cache = SharedCache::new(8, None, false);
+        let cache = SharedCache::new(8, None);
         let (t1, hit1) = cache.get_or_compute(7, 2.0, 4, || table(4)).unwrap();
         let (t2, hit2) = cache.get_or_compute(7, 2.0, 4, || table(4)).unwrap();
         assert!(!hit1);
@@ -668,7 +438,7 @@ mod tests {
 
     #[test]
     fn different_r_or_fingerprint_misses() {
-        let cache = SharedCache::new(8, None, false);
+        let cache = SharedCache::new(8, None);
         cache.get_or_compute(7, 2.0, 4, || table(4)).unwrap();
         let (_, hit) = cache.get_or_compute(7, 3.0, 4, || table(4)).unwrap();
         assert!(!hit);
@@ -678,7 +448,7 @@ mod tests {
 
     #[test]
     fn short_table_is_a_miss_and_longer_replaces_it() {
-        let cache = SharedCache::new(8, None, false);
+        let cache = SharedCache::new(8, None);
         cache.get_or_compute(1, 1.0, 4, || table(4)).unwrap();
         // Needs n = 9, resident table only covers 4: recompute.
         let (t, hit) = cache.get_or_compute(1, 1.0, 9, || table(9)).unwrap();
@@ -698,20 +468,20 @@ mod tests {
         // later lookups to misses. Replay the race's insert order.
         let mut cache = PiCache::new(8);
         let key = (1, r_key(1.0));
-        cache.insert(key, PiTableRef::from_vec(table(9).unwrap()));
-        cache.insert(key, PiTableRef::from_vec(table(4).unwrap()));
+        cache.insert(key, Arc::from(table(9).unwrap()));
+        cache.insert(key, Arc::from(table(4).unwrap()));
         let resident = cache.lookup(key, 9).expect("longer table survived");
         assert_eq!(resident.len(), 10);
         // The raced insert still refreshed recency, and a genuinely
         // longer insert still replaces.
-        cache.insert(key, PiTableRef::from_vec(table(12).unwrap()));
+        cache.insert(key, Arc::from(table(12).unwrap()));
         assert_eq!(cache.lookup(key, 12).unwrap().len(), 13);
         assert_eq!(cache.len(), 1);
     }
 
     #[test]
     fn eviction_drops_least_recently_used() {
-        let cache = SharedCache::new(2, None, false);
+        let cache = SharedCache::new(2, None);
         cache.get_or_compute(1, 1.0, 2, || table(2)).unwrap();
         cache.get_or_compute(2, 1.0, 2, || table(2)).unwrap();
         // Touch key 1 so key 2 is the LRU.
@@ -732,8 +502,8 @@ mod tests {
 
     #[test]
     fn compute_errors_propagate_and_cache_nothing() {
-        let cache = SharedCache::new(4, None, false);
-        let r: Result<(PiTableRef, bool), &str> = cache.get_or_compute(5, 1.0, 2, || Err("boom"));
+        let cache = SharedCache::new(4, None);
+        let r: Result<(PiTable, bool), &str> = cache.get_or_compute(5, 1.0, 2, || Err("boom"));
         assert_eq!(r.unwrap_err(), "boom");
         assert_eq!(cache.len(), 0);
         assert_eq!(cache.misses(), 0);
@@ -741,7 +511,7 @@ mod tests {
 
     #[test]
     fn block_fetch_computes_only_the_missing_columns() {
-        let cache = SharedCache::new(16, None, false);
+        let cache = SharedCache::new(16, None);
         cache.get_or_compute(9, 2.0, 4, || table(4)).unwrap();
         let rs = [1.0, 2.0, 3.0];
         let (tables, hits, misses) = cache
@@ -766,7 +536,7 @@ mod tests {
 
     #[test]
     fn count_resident_does_not_disturb_recency_or_counters() {
-        let cache = SharedCache::new(8, None, false);
+        let cache = SharedCache::new(8, None);
         cache.get_or_compute(3, 1.0, 4, || table(4)).unwrap();
         let (hits, misses) = (cache.hits(), cache.misses());
         assert_eq!(cache.count_resident(3, &[1.0, 2.0], 4), 1);
@@ -779,13 +549,13 @@ mod tests {
         let dir = scratch("spill");
         let reference = table(4).unwrap();
         {
-            let cache = SharedCache::new(8, Some(dir.clone()), false);
+            let cache = SharedCache::new(8, Some(dir.clone()));
             let (_, hit) = cache.get_or_compute(7, 2.0, 4, || table(4)).unwrap();
             assert!(!hit);
         }
         // A fresh cache (new process, in spirit) loads from disk: a hit,
         // with bit-identical floats and no compute.
-        let cache = SharedCache::new(8, Some(dir.clone()), false);
+        let cache = SharedCache::new(8, Some(dir.clone()));
         let (t, hit) = cache
             .get_or_compute(7, 2.0, 4, || -> Result<Vec<f64>, ()> {
                 panic!("disk hit must not recompute")
@@ -798,81 +568,6 @@ mod tests {
         }
         assert_eq!(cache.hits(), 1);
         assert_eq!(cache.misses(), 0);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// With `mmap_spills` the disk hit is served from a read-only
-    /// mapping: no slab copy on the load, and warm memory hits keep
-    /// handing out the same mapped slab.
-    #[test]
-    #[cfg(all(unix, target_endian = "little", target_pointer_width = "64"))]
-    fn mmap_spill_hits_are_zero_copy() {
-        let dir = scratch("mmap");
-        let reference = table(6).unwrap();
-        {
-            let cache = SharedCache::new(8, Some(dir.clone()), true);
-            cache.get_or_compute(7, 2.0, 6, || table(6)).unwrap();
-        }
-        let cache = SharedCache::new(8, Some(dir.clone()), true);
-        let (t, hit) = cache
-            .get_or_compute(7, 2.0, 6, || -> Result<Vec<f64>, ()> {
-                panic!("mapped hit must not recompute")
-            })
-            .unwrap();
-        assert!(hit);
-        assert!(t.is_mapped(), "disk hit must be served from the mapping");
-        for (a, b) in t.iter().zip(reference.iter()) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        // The warm memory hit serves the very same mapping: zero copies.
-        let (t2, hit2) = cache
-            .get_or_compute(7, 2.0, 6, || -> Result<Vec<f64>, ()> {
-                panic!("warm hit must not recompute")
-            })
-            .unwrap();
-        assert!(hit2);
-        assert!(t2.is_mapped());
-        assert!(same_slab(&t, &t2), "warm mmap hit copied the slab");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// A held mapping must survive a concurrent longest-wins upgrade of
-    /// its spill file: the rename replaces the directory entry, not the
-    /// mapped inode, and later lookups see the longer table.
-    #[test]
-    #[cfg(all(unix, target_endian = "little", target_pointer_width = "64"))]
-    fn longest_wins_upgrade_is_safe_while_a_shorter_table_is_mapped() {
-        let dir = scratch("upgrade-mapped");
-        {
-            let cache = SharedCache::new(8, Some(dir.clone()), true);
-            cache.get_or_compute(7, 2.0, 4, || table(4)).unwrap();
-        }
-        let cache = SharedCache::new(8, Some(dir.clone()), true);
-        let (short, hit) = cache
-            .get_or_compute(7, 2.0, 4, || -> Result<Vec<f64>, ()> { unreachable!() })
-            .unwrap();
-        assert!(hit && short.is_mapped());
-        let before: Vec<u64> = short.iter().map(|v| v.to_bits()).collect();
-        // Another cache (another process, in spirit) upgrades the spill
-        // while `short` is still mapped.
-        {
-            let other = SharedCache::new(8, Some(dir.clone()), true);
-            let (long, hit) = other.get_or_compute(7, 2.0, 9, || table(9)).unwrap();
-            assert!(!hit, "short spill cannot serve n_max = 9");
-            assert_eq!(long.len(), 10);
-        }
-        // The held mapping still reads the old inode, bit for bit.
-        let after: Vec<u64> = short.iter().map(|v| v.to_bits()).collect();
-        assert_eq!(before, after, "held mapping changed under an upgrade");
-        // A fresh lookup (the resident 5-entry table is too short) maps
-        // the upgraded file.
-        let (long, hit) = cache
-            .get_or_compute(7, 2.0, 9, || -> Result<Vec<f64>, ()> {
-                panic!("upgraded spill must serve this")
-            })
-            .unwrap();
-        assert!(hit && long.is_mapped());
-        assert_eq!(long.len(), 10);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -905,23 +600,18 @@ mod tests {
             ("version mismatch", v1_format),
         ] {
             std::fs::write(&path, &bytes).unwrap();
-            for mmap_spills in [false, true] {
-                let cache = SharedCache::new(8, Some(dir.clone()), mmap_spills);
-                let (t, hit) = cache.get_or_compute(7, 2.0, 4, || table(4)).unwrap();
-                assert!(!hit, "{what} must be a miss (mmap = {mmap_spills})");
-                assert_eq!(t.len(), 5);
-                // The recompute upgraded the file in place; reset it for
-                // the next variant.
-                std::fs::write(&path, &bytes).unwrap();
-            }
+            let cache = SharedCache::new(8, Some(dir.clone()));
+            let (t, hit) = cache.get_or_compute(7, 2.0, 4, || table(4)).unwrap();
+            assert!(!hit, "{what} must be a miss");
+            assert_eq!(t.len(), 5);
         }
         // The recompute path replaces a corrupt file with a valid one.
         std::fs::write(&path, b"garbage!").unwrap();
         {
-            let cache = SharedCache::new(8, Some(dir.clone()), true);
+            let cache = SharedCache::new(8, Some(dir.clone()));
             cache.get_or_compute(7, 2.0, 4, || table(4)).unwrap();
         }
-        let cache = SharedCache::new(8, Some(dir.clone()), true);
+        let cache = SharedCache::new(8, Some(dir.clone()));
         let (_, hit) = cache.get_or_compute(7, 2.0, 4, || table(4)).unwrap();
         assert!(hit, "recompute upgraded the corrupt spill");
         let _ = std::fs::remove_dir_all(&dir);
@@ -935,7 +625,7 @@ mod tests {
         let dir = scratch("fuzz");
         let key_r = r_key(3.5);
         {
-            let cache = SharedCache::new(8, Some(dir.clone()), false);
+            let cache = SharedCache::new(8, Some(dir.clone()));
             cache.get_or_compute(11, 3.5, 7, || table(7)).unwrap();
         }
         let path = dir.join(format!("pi-{:016x}-{key_r:016x}.tbl", 11u64));
@@ -954,16 +644,14 @@ mod tests {
             let bit = 1u8 << (next() % 8);
             mutated[at] ^= bit;
             std::fs::write(&path, &mutated).unwrap();
-            for mmap_spills in [false, true] {
-                let cache = SharedCache::new(8, Some(dir.clone()), mmap_spills);
-                // Must not panic; hit or miss are both acceptable.
-                let (t, _) = cache.get_or_compute(11, 3.5, 7, || table(7)).unwrap();
-                assert!(t.len() >= 8);
-            }
+            let cache = SharedCache::new(8, Some(dir.clone()));
+            // Must not panic; hit or miss are both acceptable.
+            let (t, _) = cache.get_or_compute(11, 3.5, 7, || table(7)).unwrap();
+            assert!(t.len() >= 8);
             // Truncations of the mutant must not panic either.
             let cut = (next() as usize) % mutated.len();
             std::fs::write(&path, &mutated[..cut]).unwrap();
-            let cache = SharedCache::new(8, Some(dir.clone()), true);
+            let cache = SharedCache::new(8, Some(dir.clone()));
             let (t, _) = cache.get_or_compute(11, 3.5, 7, || table(7)).unwrap();
             assert!(t.len() >= 8);
             // Restore the valid spill for the next round (the recompute
@@ -977,13 +665,13 @@ mod tests {
     fn too_short_spill_is_recomputed_and_upgraded() {
         let dir = scratch("upgrade");
         {
-            let cache = SharedCache::new(8, Some(dir.clone()), false);
+            let cache = SharedCache::new(8, Some(dir.clone()));
             cache.get_or_compute(7, 2.0, 4, || table(4)).unwrap();
         }
         // A bigger sweep can't use the 5-entry spill: recompute, and the
         // longer table replaces the file.
         {
-            let cache = SharedCache::new(8, Some(dir.clone()), false);
+            let cache = SharedCache::new(8, Some(dir.clone()));
             let (t, hit) = cache.get_or_compute(7, 2.0, 9, || table(9)).unwrap();
             assert!(!hit);
             assert_eq!(t.len(), 10);
@@ -991,7 +679,7 @@ mod tests {
         // A later *small* sweep must still find the long table — the
         // shorter spill never clobbers it (longest wins on disk too).
         {
-            let cache = SharedCache::new(8, Some(dir.clone()), false);
+            let cache = SharedCache::new(8, Some(dir.clone()));
             let (t, hit) = cache.get_or_compute(7, 2.0, 4, || table(4)).unwrap();
             assert!(hit);
             assert_eq!(t.len(), 10, "disk kept the longer table");
@@ -1004,7 +692,7 @@ mod tests {
         // A path that cannot be a directory (it's a file) must not error.
         let dir = scratch("notadir");
         std::fs::write(&dir, b"occupied").unwrap();
-        let cache = SharedCache::new(8, Some(dir.clone()), true);
+        let cache = SharedCache::new(8, Some(dir.clone()));
         let (_, hit) = cache.get_or_compute(7, 2.0, 4, || table(4)).unwrap();
         assert!(!hit);
         let (_, hit) = cache.get_or_compute(7, 2.0, 4, || table(4)).unwrap();

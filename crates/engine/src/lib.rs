@@ -56,7 +56,6 @@
 // sit in its own block with its own SAFETY comment.
 #![deny(unsafe_op_in_unsafe_fn)]
 
-pub mod api;
 mod cache;
 pub mod pipeline;
 mod pool;
@@ -98,7 +97,7 @@ pub use request::{
 pub use wire::WireError;
 
 use cache::SharedCache;
-use pool::{Job, WorkerPool};
+use pool::{Job, JobBuffers, WorkerPool};
 
 /// Engine construction parameters.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -114,20 +113,6 @@ pub struct EngineConfig {
     /// silently treated as misses, never as errors). `None` disables
     /// persistence.
     pub cache_dir: Option<PathBuf>,
-    /// Serve warm spill hits from read-only memory mappings of the spill
-    /// files (zero-copy) instead of reading them into owned buffers.
-    /// Only meaningful with `cache_dir` set; on platforms without the
-    /// mapping fast path (non-unix, big-endian, 32-bit) the engine
-    /// silently falls back to owned reads. Spill files themselves are
-    /// identical either way.
-    pub mmap_spills: bool,
-    /// Sweeps estimated below this many equivalent warm cells run on the
-    /// calling thread alone: fan-out overhead (broadcast, cursor and
-    /// latch traffic, cache-line ping-pong) exceeds the parallel win for
-    /// small or fully-warm grids. Missing π-tables weigh extra via a
-    /// measured cost ratio, so a *cold* sweep of the same grid can still
-    /// fan out.
-    pub small_sweep_cells: usize,
     /// Which column-kernel backend the engine runs: forced scalar, forced
     /// SIMD (clamped to what the CPU actually supports), or `Auto` — the
     /// best detected tier, overridable via the `ZEROCONF_KERNEL`
@@ -144,8 +129,6 @@ impl Default for EngineConfig {
                 .unwrap_or(4),
             cache_tables: 1024,
             cache_dir: None,
-            mmap_spills: false,
-            small_sweep_cells: 65_536,
             kernel: KernelChoice::Auto,
         }
     }
@@ -243,7 +226,6 @@ impl CancelToken {
 pub struct Engine {
     pool: WorkerPool,
     cache: Arc<SharedCache>,
-    small_sweep_cells: usize,
     /// The resolved column-kernel backend every job runs with.
     backend: Backend,
     /// The weakest distribution-batch tier observed so far, as a
@@ -273,6 +255,13 @@ pub struct Engine {
 /// How many chunks each participant should get on average; more than one
 /// so uneven cells rebalance, not so many that cursor traffic dominates.
 const CHUNKS_PER_WORKER: usize = 4;
+
+/// Sweeps estimated below this many equivalent warm cells run on the
+/// calling thread alone: fan-out overhead (broadcast, cursor and latch
+/// traffic, cache-line ping-pong) exceeds the parallel win for small or
+/// fully-warm grids. Missing π-tables weigh extra via a measured cost
+/// ratio, so a *cold* sweep of the same grid can still fan out.
+const SMALL_SWEEP_CELLS: usize = 65_536;
 
 /// A chunk should cost at least this long to evaluate, so the shared
 /// cursor fetch, cache lock round-trip and latch update stay amortized.
@@ -350,12 +339,7 @@ impl Engine {
         let backend = config.kernel.resolve();
         Engine {
             pool: WorkerPool::new(workers - 1),
-            cache: Arc::new(SharedCache::new(
-                config.cache_tables,
-                config.cache_dir,
-                config.mmap_spills,
-            )),
-            small_sweep_cells: config.small_sweep_cells.max(1),
+            cache: Arc::new(SharedCache::new(config.cache_tables, config.cache_dir)),
             backend,
             dist_floor: AtomicU8::new(backend as u8),
             landscape: Mutex::new(None),
@@ -380,7 +364,7 @@ impl Engine {
     /// - The sweep's cost is estimated in *equivalent warm cells*:
     ///   `cells + missing_tables · n_max · π-ratio`, where residency
     ///   comes from a recency-neutral cache probe and the π-ratio from
-    ///   the EWMA. Below [`EngineConfig::small_sweep_cells`] the sweep
+    ///   the EWMA. Below [`SMALL_SWEEP_CELLS`] the sweep
     ///   stays on the calling thread — fan-out overhead would dominate
     ///   (this is what keeps a warm re-sweep from running *slower* with
     ///   two threads than with one).
@@ -402,7 +386,7 @@ impl Engine {
         );
         let missing = request.grid.r_values.len() - resident;
         let effective = cells as f64 + (missing * n_max) as f64 * pi_ratio;
-        let participants = if workers == 1 || effective < self.small_sweep_cells as f64 {
+        let participants = if workers == 1 || effective < SMALL_SWEEP_CELLS as f64 {
             1
         } else {
             workers
@@ -474,6 +458,31 @@ impl Engine {
         cancel: &CancelToken,
     ) -> Result<SweepResponse, EngineError> {
         request.validate()?;
+        let (landscape, stats) = self.run_job(request, cancel, false, |buffers| {
+            Landscape::new(
+                request.grid.n_max,
+                request.grid.r_values.clone(),
+                buffers.costs,
+                buffers.errors,
+            )
+        })?;
+        self.observe_verb(&stats);
+        Ok(SweepResponse { landscape, stats })
+    }
+
+    /// Runs one job over `request`'s grid: plan it, broadcast it to the
+    /// pool when it fans out, take the calling thread's share, join, and
+    /// turn the filled buffers into the result with `finish`. Folds the
+    /// job's SIMD tier and per-worker cells into the lifetime counters
+    /// and feeds the scheduler; the returned stats time everything from
+    /// the job's construction to the finished result.
+    fn run_job<T>(
+        &self,
+        request: &SweepRequest,
+        cancel: &CancelToken,
+        statistic: bool,
+        finish: impl FnOnce(JobBuffers) -> T,
+    ) -> Result<(T, BatchStats), EngineError> {
         let plan = self.plan(request);
         let start = Instant::now();
         let job = Arc::new(Job::new(
@@ -483,7 +492,7 @@ impl Engine {
             plan.participants,
             plan.chunk,
             cancel.clone(),
-            false,
+            statistic,
         ));
         if plan.participants > 1 {
             self.pool.broadcast(&job);
@@ -494,50 +503,23 @@ impl Engine {
         // fetch_min's atomicity alone keeps it a true low-water mark.
         self.dist_floor
             .fetch_min(job.dist_backend_used() as u8, Ordering::Relaxed);
-        let landscape = Landscape::new(
-            request.grid.n_max,
-            request.grid.r_values.clone(),
-            buffers.costs,
-            buffers.errors,
-        );
-
+        let output = finish(buffers);
         let wall_nanos = start.elapsed().as_nanos();
-        let by_worker = job.cells_per_worker();
-        // ORDERING: lifetime statistics counters (cells, hits, misses,
-        // requests); they are reported, never synchronized on, so relaxed
-        // tallies suffice throughout this block.
-        for (total, done) in self.cells_per_worker.iter().zip(&by_worker) {
-            total.fetch_add(*done, Ordering::Relaxed);
+        // ORDERING: statistics tallies; the job is already joined, so
+        // these relaxed reads and adds race with nothing.
+        for (total, done) in self.cells_per_worker.iter().zip(job.cells_per_worker()) {
+            total.fetch_add(done, Ordering::Relaxed);
         }
         let stats = BatchStats {
             wall_nanos,
-            // ORDERING: same statistics block — the job is already joined,
-            // so these reads race with nothing.
+            // ORDERING: same statistics block, job already joined.
             cache_hits: job.hits.load(Ordering::Relaxed),
             cache_misses: job.misses.load(Ordering::Relaxed),
-            cells: landscape.len() as u64,
+            cells: request.grid.cells() as u64,
             workers: self.workers(),
         };
         self.observe_sweep(&stats, plan.participants, request.grid.n_max);
-        // ORDERING: statistics tallies, as above.
-        self.requests.fetch_add(1, Ordering::Relaxed);
-        self.cells.fetch_add(stats.cells, Ordering::Relaxed);
-        *self.wall_nanos.lock().unwrap_or_else(|e| e.into_inner()) += wall_nanos;
-        Ok(SweepResponse { landscape, stats })
-    }
-
-    /// Evaluates a batch of sweeps in order, sharing the cache across all
-    /// of them.
-    ///
-    /// # Errors
-    ///
-    /// Fails on the first failing request, same conditions as
-    /// [`Engine::evaluate`].
-    pub fn evaluate_batch(
-        &self,
-        requests: &[SweepRequest],
-    ) -> Result<Vec<SweepResponse>, EngineError> {
-        requests.iter().map(|r| self.evaluate(r)).collect()
+        Ok((output, stats))
     }
 
     /// Re-evaluates `base`'s grid under changed economic parameters.
@@ -606,51 +588,18 @@ impl Engine {
             grid: grid.clone(),
             metrics: Vec::new(),
         };
-        let plan = self.plan(&request);
-        let start = Instant::now();
-        let job = Arc::new(Job::new(
-            &request,
-            Arc::clone(&self.cache),
-            self.backend,
-            plan.participants,
-            plan.chunk,
-            cancel.clone(),
-            true,
-        ));
-        if plan.participants > 1 {
-            self.pool.broadcast(&job);
-        }
-        job.run(0);
-        let buffers = job.wait()?;
-        // ORDERING: monotonic min of a diagnostic SIMD-tier marker; the
-        // fetch_min's atomicity alone keeps it a true low-water mark.
-        self.dist_floor
-            .fetch_min(job.dist_backend_used() as u8, Ordering::Relaxed);
-        let pi_prefix = buffers
-            .pi_prefix
-            .expect("statistic job fills the π-prefix slab");
-        let pi_n = buffers.pi_n.expect("statistic job fills the π_n slab");
-        let landscape = Arc::new(ParamLandscape::from_parts(
-            grid.n_max,
-            grid.r_values.clone(),
-            pi_prefix,
-            pi_n,
-        ));
-        let by_worker = job.cells_per_worker();
-        // ORDERING: statistics tallies; the job is already joined, so
-        // these relaxed reads and adds race with nothing.
-        for (total, done) in self.cells_per_worker.iter().zip(&by_worker) {
-            total.fetch_add(*done, Ordering::Relaxed);
-        }
-        let stats = BatchStats {
-            wall_nanos: start.elapsed().as_nanos(),
-            // ORDERING: same statistics block, job already joined.
-            cache_hits: job.hits.load(Ordering::Relaxed),
-            cache_misses: job.misses.load(Ordering::Relaxed),
-            cells: landscape.len() as u64,
-            workers: self.workers(),
-        };
-        self.observe_sweep(&stats, plan.participants, grid.n_max);
+        let (landscape, stats) = self.run_job(&request, cancel, true, |buffers| {
+            let pi_prefix = buffers
+                .pi_prefix
+                .expect("statistic job fills the π-prefix slab");
+            let pi_n = buffers.pi_n.expect("statistic job fills the π_n slab");
+            Arc::new(ParamLandscape::from_parts(
+                grid.n_max,
+                grid.r_values.clone(),
+                pi_prefix,
+                pi_n,
+            ))
+        })?;
         *self.landscape.lock().unwrap_or_else(|e| e.into_inner()) = Some(LandscapeSlot {
             fingerprint,
             landscape: Arc::clone(&landscape),
@@ -658,7 +607,8 @@ impl Engine {
         Ok((landscape, stats))
     }
 
-    /// Folds one parametric verb's work into the lifetime counters.
+    /// Folds one verb's work (sweep, calibrate or frontier) into the
+    /// lifetime counters.
     fn observe_verb(&self, stats: &BatchStats) {
         // ORDERING: lifetime statistics tallies; reported, never
         // synchronized on.
@@ -994,7 +944,6 @@ mod tests {
                 cache_tables: 64,
                 cache_dir: None,
                 kernel,
-                ..EngineConfig::default()
             })
         };
         let grid = GridSpec::linspace(3, 0.5, 2.0, 4);
@@ -1044,19 +993,5 @@ mod tests {
             e.evaluate(&req),
             Err(EngineError::InvalidRequest { .. })
         ));
-    }
-
-    #[test]
-    fn evaluate_batch_shares_the_cache() {
-        let e = engine(2);
-        let grid = GridSpec::linspace(4, 0.5, 3.0, 8);
-        let reqs = vec![
-            SweepRequest::new(scenario(), grid.clone()),
-            SweepRequest::new(scenario(), grid),
-        ];
-        let responses = e.evaluate_batch(&reqs).unwrap();
-        assert_eq!(responses.len(), 2);
-        assert_eq!(responses[0].stats.cache_misses, 8);
-        assert_eq!(responses[1].stats.cache_misses, 0, "same dist, same grid");
     }
 }

@@ -23,16 +23,6 @@ fn engine(workers: usize, dir: &std::path::Path) -> Engine {
     })
 }
 
-fn mmap_engine(workers: usize, dir: &std::path::Path) -> Engine {
-    Engine::new(EngineConfig {
-        workers,
-        cache_tables: 256,
-        cache_dir: Some(dir.to_path_buf()),
-        mmap_spills: true,
-        ..EngineConfig::default()
-    })
-}
-
 #[test]
 fn second_engine_serves_every_table_from_disk() {
     let dir = scratch("roundtrip");
@@ -78,102 +68,6 @@ fn larger_sweep_upgrades_spills_for_later_engines() {
         0,
         "upgraded spills cover the larger sweep"
     );
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// The mmap tier, cross-process (in spirit: separate engines with
-/// separate in-memory caches): a writer engine spills tables with the
-/// plain owned path, and an `mmap_spills` reader serves every one of
-/// them from mappings of the very same files — zero recomputation, with
-/// landscapes bit-identical to the writer's.
-#[test]
-fn mmap_reader_serves_a_previous_engines_spills() {
-    let dir = scratch("mmap-roundtrip");
-    let _ = std::fs::remove_dir_all(&dir);
-    let scenario = paper::figure2_scenario().unwrap();
-    let request = SweepRequest::new(scenario, GridSpec::linspace(16, 0.1, 30.0, 48));
-
-    let cold = engine(2, &dir).evaluate(&request).unwrap();
-    let reader = mmap_engine(2, &dir);
-    let warm = reader.evaluate(&request).unwrap();
-    let stats = reader.stats();
-    assert_eq!(
-        stats.cache_misses, 0,
-        "every table must come from a mapping"
-    );
-    assert_eq!(stats.cache_hits, 48);
-    assert_eq!(cold.landscape, warm.landscape, "mapped tables bit-match");
-
-    // And the other direction: spills written by an mmap engine serve a
-    // plain reader identically (the on-disk format is the same).
-    let plain = engine(1, &dir);
-    let again = plain.evaluate(&request).unwrap();
-    assert_eq!(plain.stats().cache_misses, 0);
-    assert_eq!(cold.landscape, again.landscape);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// Corrupt or truncated spill files must be plain misses for an mmap
-/// reader too — recomputed, never an error or a crash.
-#[test]
-fn mmap_reader_tolerates_corrupt_and_truncated_spills() {
-    let dir = scratch("mmap-garbage");
-    let _ = std::fs::remove_dir_all(&dir);
-    let scenario = paper::figure2_scenario().unwrap();
-    let request = SweepRequest::new(scenario, GridSpec::linspace(8, 0.5, 5.0, 6));
-
-    let a = mmap_engine(1, &dir).evaluate(&request).unwrap();
-    let mut spills: Vec<_> = std::fs::read_dir(&dir)
-        .unwrap()
-        .map(|e| e.unwrap().path())
-        .collect();
-    spills.sort();
-    assert!(spills.len() >= 2, "one spill per r expected");
-    // One corrupted in place, one truncated mid-slab.
-    std::fs::write(&spills[0], b"not a pi table").unwrap();
-    let bytes = std::fs::read(&spills[1]).unwrap();
-    std::fs::write(&spills[1], &bytes[..bytes.len() / 2]).unwrap();
-
-    let second = mmap_engine(1, &dir);
-    let b = second.evaluate(&request).unwrap();
-    assert_eq!(a.landscape, b.landscape);
-    assert_eq!(
-        second.stats().cache_misses,
-        2,
-        "exactly the damaged spills recompute"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// Longest-wins upgrades and mmap interleave safely across engines: a
-/// reader holding mappings from the short generation keeps working while
-/// a grower upgrades the files, and a fresh reader sees the long tables.
-#[test]
-fn mmap_reader_survives_a_concurrent_spill_upgrade() {
-    let dir = scratch("mmap-upgrade");
-    let _ = std::fs::remove_dir_all(&dir);
-    let scenario = paper::figure2_scenario().unwrap();
-    let small = SweepRequest::new(scenario.clone(), GridSpec::linspace(8, 0.1, 30.0, 24));
-    let large = SweepRequest::new(scenario, GridSpec::linspace(64, 0.1, 30.0, 24));
-
-    engine(1, &dir).evaluate(&small).unwrap();
-    // The holder maps the short-generation files into memory...
-    let holder = mmap_engine(1, &dir);
-    let before = holder.evaluate(&small).unwrap();
-    assert_eq!(holder.stats().cache_misses, 0);
-    // ...while another engine upgrades every spill on disk.
-    let grower = mmap_engine(1, &dir);
-    grower.evaluate(&large).unwrap();
-    assert_eq!(grower.stats().cache_misses, 24, "short spills recompute");
-    // The holder's mapped tables are still live and still serve the
-    // small sweep bit-identically (its resident tables never shrank).
-    let after = holder.evaluate(&small).unwrap();
-    assert_eq!(holder.stats().cache_misses, 0);
-    assert_eq!(before.landscape, after.landscape);
-    // A fresh mmap reader maps the upgraded generation.
-    let reader = mmap_engine(1, &dir);
-    reader.evaluate(&large).unwrap();
-    assert_eq!(reader.stats().cache_misses, 0, "upgraded spills cover it");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -46,7 +46,7 @@ use std::sync::Arc;
 
 use zeroconf_engine::wire::{self, Json, PipelinedSession};
 
-use crate::metrics::{stats_response_line, ConnMetrics, StatsSnapshot};
+use crate::metrics::{oversize_line_refusal, stats_response_line, ConnMetrics, StatsSnapshot};
 use crate::reactor::{Interest, WakeHandle};
 use crate::ServerShared;
 
@@ -64,6 +64,14 @@ const MAX_PARKED: usize = 1024;
 /// bound that keeps one chatty connection from starving the loop.
 const READ_CHUNK: usize = 4096;
 const MAX_READ_CHUNKS: usize = 16;
+
+/// Longest request line the daemon frames, newline excluded: 1 MiB,
+/// hundreds of times the longest line the workspace's clients send (a
+/// sweep with an explicit `r` list of a few hundred values is a few
+/// KiB). A longer line is answered with one error line and discarded up
+/// to its newline, so a newline-free stream costs the daemon at most
+/// this much memory per connection.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
 
 /// A connected client socket. The reactor needs concrete types (for
 /// `as_raw_fd`), not the old `ClientStream` trait object.
@@ -209,7 +217,7 @@ pub(crate) struct Connection {
     /// Created on the first request line; idle connections stay cheap.
     session: Option<PipelinedSession>,
     /// Bytes read but not yet framed into a line.
-    inbuf: Vec<u8>,
+    inbuf: LineFramer,
     /// Complete lines waiting for a budget permit (or behind one that
     /// is): admission order is arrival order, always.
     parked: VecDeque<String>,
@@ -238,7 +246,7 @@ impl Connection {
             shared,
             wake,
             session: None,
-            inbuf: Vec::new(),
+            inbuf: LineFramer::default(),
             parked: VecDeque::new(),
             out: OutBuf::default(),
             metrics: ConnMetrics::default(),
@@ -318,8 +326,14 @@ impl Connection {
                 }
                 Ok(n) => {
                     self.metrics.bytes_in += n as u64;
-                    self.inbuf.extend_from_slice(&chunk[..n]);
-                    for line in take_lines(&mut self.inbuf) {
+                    for frame in self.inbuf.push(&chunk[..n]) {
+                        let Some(line) = frame else {
+                            // An oversize line never reaches the budget
+                            // or the session: its one answer is this.
+                            self.count_request();
+                            self.push_out(&oversize_line_refusal());
+                            continue;
+                        };
                         // Once anything is parked, everything parks:
                         // responses must come back in request order.
                         if !self.parked.is_empty() || !self.try_process_line(&line) {
@@ -610,17 +624,51 @@ impl Connection {
     }
 }
 
-/// Splits complete `\n`-terminated lines off the front of `buf`,
-/// leaving any trailing partial line in place for the next read.
-fn take_lines(buf: &mut Vec<u8>) -> Vec<String> {
-    let mut lines = Vec::new();
-    while let Some(pos) = buf.iter().position(|&b| b == b'\n') {
-        let rest = buf.split_off(pos + 1);
-        let mut line = std::mem::replace(buf, rest);
-        line.pop();
-        lines.push(String::from_utf8_lossy(&line).into_owned());
+/// Incremental `\n` framing under the [`MAX_LINE_BYTES`] cap. Each
+/// byte is scanned for a newline once, however many reads a line takes.
+#[derive(Default)]
+struct LineFramer {
+    /// The unframed tail: part of one line, never a newline.
+    buf: Vec<u8>,
+    /// Discarding the rest of an oversize line, up to its newline.
+    skipping: bool,
+}
+
+impl LineFramer {
+    /// Frames the lines `bytes` completes, in order: `Some(line)` for a
+    /// line within the cap, `None` (once per line) for an oversize one.
+    fn push(&mut self, mut bytes: &[u8]) -> Vec<Option<String>> {
+        let mut frames = Vec::new();
+        while let Some(pos) = bytes.iter().position(|&b| b == b'\n') {
+            let (head, rest) = (&bytes[..pos], &bytes[pos + 1..]);
+            bytes = rest;
+            if std::mem::take(&mut self.skipping) {
+                continue;
+            }
+            if self.buf.len() + head.len() > MAX_LINE_BYTES {
+                frames.push(None);
+            } else {
+                self.buf.extend_from_slice(head);
+                frames.push(Some(String::from_utf8_lossy(&self.buf).into_owned()));
+            }
+            self.buf.clear();
+        }
+        if !self.skipping {
+            if self.buf.len() + bytes.len() > MAX_LINE_BYTES {
+                frames.push(None);
+                self.buf = Vec::new();
+                self.skipping = true;
+            } else {
+                self.buf.extend_from_slice(bytes);
+            }
+        }
+        frames
     }
-    lines
+
+    /// Forgets the unframed tail (drain, client gone).
+    fn clear(&mut self) {
+        *self = LineFramer::default();
+    }
 }
 
 fn str_member<'j>(value: &'j Json, key: &str) -> Option<&'j str> {
@@ -634,21 +682,51 @@ fn str_member<'j>(value: &'j Json, key: &str) -> Option<&'j str> {
 mod tests {
     use super::*;
 
-    #[test]
-    fn take_lines_keeps_partial_tail() {
-        let mut buf = b"one\ntwo\nthr".to_vec();
-        assert_eq!(take_lines(&mut buf), vec!["one", "two"]);
-        assert_eq!(buf, b"thr");
-        buf.extend_from_slice(b"ee\n");
-        assert_eq!(take_lines(&mut buf), vec!["three"]);
-        assert!(buf.is_empty());
+    fn lines(frames: Vec<Option<String>>) -> Vec<String> {
+        frames
+            .into_iter()
+            .map(|f| f.expect("no oversize frame"))
+            .collect()
     }
 
     #[test]
-    fn take_lines_handles_empty_and_blank_lines() {
-        let mut buf = b"\n\nx\n".to_vec();
-        assert_eq!(take_lines(&mut buf), vec!["", "", "x"]);
-        assert!(buf.is_empty());
+    fn framer_keeps_partial_tail() {
+        let mut framer = LineFramer::default();
+        assert_eq!(lines(framer.push(b"one\ntwo\nthr")), vec!["one", "two"]);
+        assert_eq!(framer.buf, b"thr");
+        assert_eq!(lines(framer.push(b"ee\n")), vec!["three"]);
+        assert!(framer.buf.is_empty());
+    }
+
+    #[test]
+    fn framer_handles_empty_and_blank_lines() {
+        let mut framer = LineFramer::default();
+        assert_eq!(lines(framer.push(b"\n\nx\n")), vec!["", "", "x"]);
+        assert!(framer.buf.is_empty());
+    }
+
+    #[test]
+    fn an_oversize_line_is_one_frame_and_is_skipped_to_its_newline() {
+        let mut framer = LineFramer::default();
+        let chunk = vec![b'x'; READ_CHUNK];
+        let mut frames = Vec::new();
+        for _ in 0..=MAX_LINE_BYTES / READ_CHUNK {
+            frames.extend(framer.push(&chunk));
+        }
+        assert_eq!(frames, vec![None], "one frame once the cap is passed");
+        assert!(framer.buf.is_empty(), "the oversize prefix is dropped");
+        assert!(framer.push(&chunk).is_empty(), "the rest is discarded");
+        assert_eq!(lines(framer.push(b"tail\nnext\n")), vec!["next"]);
+
+        // The cap counts bytes, newline excluded: a line exactly at the
+        // cap is served, one byte more is refused even when its newline
+        // arrives in the read that crosses the cap.
+        let mut framer = LineFramer::default();
+        let at_cap = vec![b'y'; MAX_LINE_BYTES];
+        assert!(framer.push(&at_cap).is_empty());
+        assert_eq!(lines(framer.push(b"\n"))[0].len(), MAX_LINE_BYTES);
+        assert!(framer.push(&at_cap).is_empty());
+        assert_eq!(framer.push(b"z\nok\n"), vec![None, Some("ok".to_owned())]);
     }
 
     #[test]

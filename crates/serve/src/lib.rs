@@ -65,6 +65,7 @@ mod model_tests;
 mod reactor;
 
 pub use budget::FairBudget;
+pub use conn::MAX_LINE_BYTES;
 pub use listener::Endpoint;
 pub use metrics::{
     capacity_refusal_line, stats_response_line, ConnMetrics, ServerMetrics, StatsSnapshot,
@@ -154,7 +155,7 @@ impl Default for ServeConfig {
 impl ServeConfig {
     /// Parses daemon flags: repeatable `--tcp ADDR` / `--unix PATH`
     /// endpoints plus `--workers N`, `--cache TABLES`, `--cache-dir
-    /// PATH`, `--mmap`, `--kernel scalar|simd|auto`, `--inflight N` and
+    /// PATH`, `--kernel scalar|simd|auto`, `--inflight N` and
     /// `--max-conns N`. The parsed config follows
     /// process signals (it is the daemon entry path).
     ///
@@ -189,7 +190,6 @@ impl ServeConfig {
                     config.engine.cache_dir =
                         Some(std::path::PathBuf::from(value_of("cache-dir")?));
                 }
-                "--mmap" => config.engine.mmap_spills = true,
                 "--kernel" => {
                     let raw = value_of("kernel")?;
                     config.engine.kernel =
@@ -232,7 +232,7 @@ fn parse_count(name: &str, raw: &str) -> Result<usize, ServeError> {
 #[must_use]
 pub fn serve_usage() -> String {
     "usage: zeroconf serve (--tcp ADDR | --unix PATH)... [--workers N] [--cache TABLES]\n\
-     \u{20}      [--cache-dir PATH] [--mmap] [--kernel scalar|simd|auto]\n\
+     \u{20}      [--cache-dir PATH] [--kernel scalar|simd|auto]\n\
      \u{20}      [--inflight N] [--max-conns N]"
         .to_owned()
 }
@@ -407,7 +407,7 @@ mod tests {
     fn from_args_parses_endpoints_and_tuning() {
         let config = ServeConfig::from_args(&args(
             "--tcp 127.0.0.1:0 --unix /tmp/z.sock --workers 2 --cache 64 \
-             --mmap --kernel scalar --inflight 6 --max-conns 9",
+             --kernel scalar --inflight 6 --max-conns 9",
         ))
         .unwrap();
         assert_eq!(config.endpoints.len(), 2);
@@ -418,7 +418,6 @@ mod tests {
         );
         assert_eq!(config.engine.workers, 2);
         assert_eq!(config.engine.cache_tables, 64);
-        assert!(config.engine.mmap_spills);
         assert_eq!(config.engine.kernel, zeroconf_engine::KernelChoice::Scalar);
         assert_eq!(config.inflight, 6);
         assert_eq!(config.max_connections, 9);
@@ -439,6 +438,13 @@ mod tests {
         assert!(e.0.contains("positive integer"), "{e}");
         let e = ServeConfig::from_args(&args("--tcp x --inflight 0")).unwrap_err();
         assert!(e.0.contains("positive integer"), "{e}");
+    }
+
+    /// The removed mmap spill tier left no switch behind.
+    #[test]
+    fn from_args_rejects_mmap_as_an_unknown_flag() {
+        let e = ServeConfig::from_args(&args("--tcp x --cache-dir /tmp/z --mmap")).unwrap_err();
+        assert!(e.0.contains("unknown serve flag '--mmap'"), "{e}");
     }
 
     #[test]

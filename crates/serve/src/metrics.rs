@@ -21,6 +21,8 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use zeroconf_engine::wire::WIRE_VERSION;
+
+use crate::conn::MAX_LINE_BYTES;
 use zeroconf_engine::{EngineStats, PipelineStats};
 
 /// Counters shared by the whole server process.
@@ -166,6 +168,15 @@ pub fn stats_response_line(id: &str, snapshot: &StatsSnapshot<'_>) -> String {
 #[must_use]
 pub fn capacity_refusal_line() -> String {
     format!("{{\"v\":{WIRE_VERSION},\"id\":\"\",\"error\":\"server at connection capacity\"}}")
+}
+
+/// The one answer to a request line longer than [`MAX_LINE_BYTES`]; the
+/// line itself is discarded and the connection serves on.
+#[must_use]
+pub fn oversize_line_refusal() -> String {
+    format!(
+        "{{\"v\":{WIRE_VERSION},\"id\":\"\",\"error\":\"request line longer than {MAX_LINE_BYTES} bytes\"}}"
+    )
 }
 
 #[cfg(test)]

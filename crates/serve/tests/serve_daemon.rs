@@ -14,7 +14,7 @@ use std::time::{Duration, Instant};
 
 use zeroconf_client::{Client, Json, Response};
 use zeroconf_engine::{testkit, EngineConfig};
-use zeroconf_serve::{Endpoint, ServeConfig, ServeError, Server, Shutdown};
+use zeroconf_serve::{Endpoint, ServeConfig, ServeError, Server, Shutdown, MAX_LINE_BYTES};
 
 const DEADLINE: Duration = Duration::from_secs(60);
 
@@ -805,6 +805,49 @@ fn deeply_nested_line_is_one_error_and_the_connection_serves_on() {
         .expect("sweep answer before EOF");
     assert!(
         answer.contains("\"id\":\"s1\"") && answer.contains("\"cells\""),
+        "{answer}"
+    );
+}
+
+/// A client that streams bytes with no newline cannot grow the daemon's
+/// memory past [`MAX_LINE_BYTES`]: once the line passes the cap it gets
+/// one error line at once, the rest of it is discarded up to its
+/// newline, and the next line on the same connection is answered.
+#[test]
+fn newline_free_stream_past_the_line_cap_is_one_error_and_serves_on() {
+    use std::io::{BufRead, BufReader, Write};
+
+    let server = TestServer::start(4, 8);
+    let mut stream = std::net::TcpStream::connect(&server.addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(20)))
+        .expect("set read timeout");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
+    let mut next_line = || {
+        let mut line = String::new();
+        reader
+            .read_line(&mut line)
+            .expect("an answer within the read timeout");
+        line
+    };
+
+    stream
+        .write_all(&vec![b'x'; MAX_LINE_BYTES + 1])
+        .expect("send oversize prefix");
+    let error = next_line();
+    assert!(
+        error.contains("\"error\"") && error.contains(&MAX_LINE_BYTES.to_string()),
+        "{error}"
+    );
+
+    // The rest of the oversize line is discarded without another answer.
+    stream.write_all(&[b'y'; 4096]).expect("send more of it");
+    stream.write_all(b"\n").expect("end the oversize line");
+    let sweep = testkit::sweep_line("after", 4, &[1.0, 2.0]);
+    writeln!(stream, "{sweep}").expect("send sweep");
+    let answer = next_line();
+    assert!(
+        answer.contains("\"id\":\"after\"") && answer.contains("\"cells\""),
         "{answer}"
     );
 }
