@@ -186,6 +186,8 @@ for path in sys.argv[1:]:
         "engine/frontier/warm",
         "engine/frontier/per-point-recompute",
         "engine/calibrate/warm",
+        "wire/encode/sweep",
+        "wire/decode/sweep",
         "engine/serve/conns=1",
         "engine/serve/conns=4",
         "engine/serve/conns=64",

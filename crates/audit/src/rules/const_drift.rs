@@ -43,6 +43,8 @@ pub const PINNED_CONSTS: &[(&str, &str)] = &[
     ("ROW_FRONTIER_WARM", BENCH_SCHEMA),
     ("ROW_FRONTIER_RECOMPUTE", BENCH_SCHEMA),
     ("ROW_CALIBRATE_WARM", BENCH_SCHEMA),
+    ("ROW_WIRE_ENCODE_SWEEP", BENCH_SCHEMA),
+    ("ROW_WIRE_DECODE_SWEEP", BENCH_SCHEMA),
     ("ROW_STEM_ENGINE", BENCH_SCHEMA),
     ("ROW_STEM_SESSION", BENCH_SCHEMA),
     ("ROW_STEM_SERVE", BENCH_SCHEMA),
@@ -95,6 +97,8 @@ pub const PINNED_LITERALS: &[(&str, &str, &str)] = &[
         BENCH_SCHEMA,
     ),
     ("engine/calibrate/warm", "ROW_CALIBRATE_WARM", BENCH_SCHEMA),
+    ("wire/encode/sweep", "ROW_WIRE_ENCODE_SWEEP", BENCH_SCHEMA),
+    ("wire/decode/sweep", "ROW_WIRE_DECODE_SWEEP", BENCH_SCHEMA),
     // `engine/serve` itself is not pinnable: the stem is a substring of
     // the overload label's definition, so a contains() scan would count
     // the same schema line twice. The overload prefix is distinctive.
@@ -287,6 +291,8 @@ mod tests {
                 "pub const ROW_FRONTIER_WARM: &str = \"engine/frontier/warm\";\n\
                  pub const ROW_FRONTIER_RECOMPUTE: &str = \"engine/frontier/per-point-recompute\";\n\
                  pub const ROW_CALIBRATE_WARM: &str = \"engine/calibrate/warm\";\n\
+                 pub const ROW_WIRE_ENCODE_SWEEP: &str = \"wire/encode/sweep\";\n\
+                 pub const ROW_WIRE_DECODE_SWEEP: &str = \"wire/decode/sweep\";\n\
                  pub const ROW_KERNEL_BLOCK: &str = \"kernel/block/columns\";\n\
                  pub const ROW_KERNEL_SINGLE_PASS: &str = \"kernel/single-pass/columns\";\n\
                  pub const ROW_KERNEL_LEGACY: &str = \"kernel/legacy-per-n/columns\";\n\

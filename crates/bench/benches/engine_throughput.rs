@@ -7,9 +7,10 @@
 //! [`zeroconf_cost::kernel::ColumnKernel`] against the per-`n`
 //! `*_from_pis` closed forms over the same precomputed π-tables) and a
 //! 16-request session dispatched serially vs through the pipelined
-//! front-end. Measurements go to `BENCH_engine.json` at the repository
-//! root for machine consumption, alongside the human-readable summary on
-//! stdout. Uses a custom `main` on top of [`zeroconf_bench::harness`]
+//! front-end, and the wire layer: encoding a warm 32 × 100 sweep answer
+//! and parsing it back. Measurements go to `BENCH_engine.json` at the
+//! repository root for machine consumption, alongside the human-readable
+//! summary on stdout. Uses a custom `main` on top of [`zeroconf_bench::harness`]
 //! rather than the Criterion-shaped macros, because the cold/warm split
 //! needs explicit control over engine lifetimes.
 //!
@@ -29,6 +30,7 @@ use zeroconf_bench::harness::{black_box, format_nanos, measure, BenchRecord};
 use zeroconf_bench::schema;
 use zeroconf_cost::kernel::{Backend, ColumnBlockKernel, ColumnKernel, Mode};
 use zeroconf_cost::{cost, paper};
+use zeroconf_engine::wire::{parse_json, WireResponse};
 use zeroconf_engine::{
     CalibrateRequest, Engine, EngineConfig, FrontierRequest, GridSpec, ParamAxis, Pipeline,
     PipelineConfig, SweepRequest,
@@ -377,6 +379,41 @@ fn calibrate_warm(samples: usize) -> BenchRecord {
     })
 }
 
+/// Wire-layer shape: a 32 × 100 sweep answer, the size of the serve
+/// benchmark's warm sweeps (about 330 KB on the wire).
+const WIRE_N_MAX: u32 = 32;
+const WIRE_R_POINTS: usize = 100;
+const WIRE_CELLS: usize = WIRE_N_MAX as usize * WIRE_R_POINTS;
+
+/// A warm 32 × 100 sweep answer, ready to encode.
+fn wire_response() -> WireResponse {
+    let scenario = paper::figure2_scenario().expect("paper scenario is valid");
+    let request = SweepRequest::new(
+        scenario,
+        GridSpec::linspace(WIRE_N_MAX, 0.1, 30.0, WIRE_R_POINTS),
+    );
+    let engine = Engine::new(config(1));
+    engine.evaluate(&request).expect("priming sweep evaluates");
+    WireResponse::Sweep {
+        id: "wire".to_owned(),
+        response: engine.evaluate(&request).expect("sweep evaluates"),
+    }
+}
+
+/// Response encode: the answer serialized to its JSON line.
+fn wire_encode(samples: usize, response: &WireResponse) -> BenchRecord {
+    measure(schema::ROW_WIRE_ENCODE_SWEEP, samples, || {
+        response.to_line()
+    })
+}
+
+/// Response decode: the generic JSON parse a client runs on that line.
+fn wire_decode(samples: usize, line: &str) -> BenchRecord {
+    measure(schema::ROW_WIRE_DECODE_SWEEP, samples, || {
+        parse_json(line).expect("response line parses")
+    })
+}
+
 struct Options {
     samples: usize,
     out: PathBuf,
@@ -477,6 +514,9 @@ fn main() {
         ),
         (calibrate_warm(samples), "warm", param_cells, None),
     ];
+    let response = wire_response();
+    let line = response.to_line();
+    let wire_runs = [wire_encode(samples, &response), wire_decode(samples, &line)];
     let requests = session_requests();
     let session_cells = SESSION_REQUESTS * SESSION_N_MAX as usize * SESSION_R_POINTS;
     let depth = SESSION_REQUESTS.min(4);
@@ -531,6 +571,16 @@ fn main() {
             format_nanos(record.median_ns),
             format_nanos(record.min_ns),
             record.samples
+        );
+    }
+    for record in &wire_runs {
+        println!(
+            "  {:<36} median {:>10}/run (min {}, {} samples), {:.0} ns/cell",
+            record.id,
+            format_nanos(record.median_ns),
+            format_nanos(record.min_ns),
+            record.samples,
+            record.median_ns / WIRE_CELLS as f64
         );
     }
     let speedup = |single: &BenchRecord, multi: &BenchRecord| single.median_ns / multi.median_ns;
@@ -596,6 +646,17 @@ fn main() {
             SESSION_R_POINTS,
             session_cells,
             *note,
+        )
+    }));
+    lines.extend(wire_runs.iter().map(|record| {
+        schema::row_json(
+            record,
+            1,
+            "warm",
+            WIRE_N_MAX,
+            WIRE_R_POINTS,
+            WIRE_CELLS,
+            None,
         )
     }));
     let json = format!("[\n  {}\n]\n", lines.join(",\n  "));

@@ -41,6 +41,13 @@ pub const ROW_FRONTIER_RECOMPUTE: &str = "engine/frontier/per-point-recompute";
 /// sufficient-statistic cache.
 pub const ROW_CALIBRATE_WARM: &str = "engine/calibrate/warm";
 
+/// Row label: `WireResponse::to_line` on a warm 32×100 sweep answer
+/// (about 330 KB), normalized per cell.
+pub const ROW_WIRE_ENCODE_SWEEP: &str = "wire/encode/sweep";
+/// Row label: `wire::parse_json` on that same response line, normalized
+/// per cell.
+pub const ROW_WIRE_DECODE_SWEEP: &str = "wire/decode/sweep";
+
 /// Stem of the parameterized cold/warm engine rows
 /// (`engine/<cache>/threads=<k>`).
 pub const ROW_STEM_ENGINE: &str = "engine";

@@ -60,6 +60,7 @@ mod cache;
 pub mod pipeline;
 mod pool;
 mod request;
+mod shortest;
 pub mod signal;
 pub mod testkit;
 pub mod wire;

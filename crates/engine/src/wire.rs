@@ -38,6 +38,14 @@
 //!   "y":{"axis":"probe_cost","values":[0.5,2.0]}}}
 //! ```
 //!
+//! An `"of"` names a sweep of the same session: one still in flight (the
+//! line is held back until it completes) or one of the last
+//! [`RETAINED_SWEEPS`] completed sweeps, where a rescore counts as a
+//! sweep and a reused id names its latest sweep. Completed sweeps are
+//! evicted oldest first; an `of` naming a sweep that is not retained —
+//! evicted, failed or never sent — is answered with one error line that
+//! states the bound.
+//!
 //! Responses carry the cells in `r`-major order plus per-request counters
 //! (`{"v":1,"id":"s1","cells":[{"n":1,"r":0.1,"mean_cost":…,"error_probability":…},…],
 //! "stats":{"wall_ns":…,"cache_hits":…,"cache_misses":…,"cells":…,"workers":…}}`);
@@ -56,7 +64,7 @@
 //! completes. A strictly sequential caller gets one line in, one line out
 //! from `submit_line` followed by `drain`.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
 use zeroconf_cost::Scenario;
@@ -69,6 +77,7 @@ use crate::pipeline::{
     Completion, ExecutorTeam, Pipeline, PipelineConfig, PipelineStats, RequestId,
 };
 use crate::request::BatchStats;
+use crate::shortest::{write_f64, write_u64};
 use crate::{
     AxisSpec, CalibrateRequest, CalibrateResponse, Engine, EngineError, EngineStats,
     FrontierRequest, FrontierResponse, GridSpec, Metric, ParamAxis, RescoreDelta, SweepRequest,
@@ -79,6 +88,11 @@ use crate::{
 /// field are treated as this version; any other value is rejected with a
 /// structured error line.
 pub const WIRE_VERSION: u64 = 1;
+
+/// How many completed sweeps a [`PipelinedSession`] keeps referencable
+/// by `"of"`. The oldest is evicted first; a line whose `of` names a
+/// sweep no longer retained is answered with an error line.
+pub const RETAINED_SWEEPS: usize = 64;
 
 /// The wire verb (request key) of a calibration.
 pub const VERB_CALIBRATE: &str = "calibrate";
@@ -341,26 +355,33 @@ fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, Wir
     }
 }
 
-/// Writes `x` so that parsing it back yields the identical float (Rust's
-/// shortest-roundtrip formatting; integral values get a `.0`).
-fn write_f64(x: f64) -> String {
-    format!("{x:?}")
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+/// Appends `s` as the inside of a JSON string: `"`, `\\` and control
+/// characters escaped, everything else copied through in runs.
+fn push_escaped(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let mut run_start = 0;
+    for (i, byte) in s.bytes().enumerate() {
+        if !matches!(byte, b'"' | b'\\' | 0..=0x1f) {
+            continue;
         }
+        // `i` indexes an ASCII byte, so both slice ends are char
+        // boundaries.
+        out.push_str(&s[run_start..i]);
+        match byte {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\t' => out.push_str("\\t"),
+            b'\r' => out.push_str("\\r"),
+            _ => {
+                out.push_str("\\u00");
+                out.push(char::from(HEX[usize::from(byte >> 4)]));
+                out.push(char::from(HEX[usize::from(byte & 0xf)]));
+            }
+        }
+        run_start = i + 1;
     }
-    out
+    out.push_str(&s[run_start..]);
 }
 
 // ---------------------------------------------------------------------------
@@ -721,13 +742,46 @@ pub fn parse_request_line(line: &str) -> Result<WireRequest, WireError> {
 // Response encoding
 // ---------------------------------------------------------------------------
 
+/// The longest `{:?}` of a finite `f64` (`-2.2250738585072014e-308`).
+const FLOAT_BYTES: usize = 24;
+/// The longest decimal `u32` (probe counts).
+const U32_BYTES: usize = 10;
+/// Envelope, stats member and the transport's newline around a line's
+/// payload, with room to spare.
+const LINE_BYTES: usize = 256;
+
+/// Starts a response line: `{"v":…,"id":"…"`.
+fn open_line(out: &mut String, id: &str) {
+    out.push_str("{\"v\":");
+    write_u64(out, WIRE_VERSION);
+    out.push_str(",\"id\":\"");
+    push_escaped(out, id);
+    out.push('"');
+}
+
+/// Appends a nanosecond count. The counters are `u128`, but every count
+/// below 584 years fits the `u64` writer; a larger one goes through std.
+fn write_nanos(out: &mut String, nanos: u128) {
+    match u64::try_from(nanos) {
+        Ok(nanos) => write_u64(out, nanos),
+        Err(_) => out.push_str(&nanos.to_string()),
+    }
+}
+
 /// Writes the per-request `"stats"` member shared by every verb's
 /// response line.
 fn push_stats(out: &mut String, s: &BatchStats) {
-    out.push_str(&format!(
-        "\"stats\":{{\"wall_ns\":{},\"cache_hits\":{},\"cache_misses\":{},\"cells\":{},\"workers\":{}}}",
-        s.wall_nanos, s.cache_hits, s.cache_misses, s.cells, s.workers
-    ));
+    out.push_str("\"stats\":{\"wall_ns\":");
+    write_nanos(out, s.wall_nanos);
+    out.push_str(",\"cache_hits\":");
+    write_u64(out, s.cache_hits);
+    out.push_str(",\"cache_misses\":");
+    write_u64(out, s.cache_misses);
+    out.push_str(",\"cells\":");
+    write_u64(out, s.cells);
+    out.push_str(",\"workers\":");
+    write_u64(out, s.workers as u64);
+    out.push('}');
 }
 
 /// A typed response line: every line the protocol can emit, in one closed
@@ -822,6 +876,10 @@ impl WireResponse {
 
     /// Serializes this response as one JSON line (no trailing newline).
     /// The single writer of the response wire format.
+    ///
+    /// Every variant appends into one `String` sized for the whole line
+    /// up front; numbers go through [`crate::shortest`], whose output is
+    /// byte-identical to `{:?}` for floats and `{}` for integers.
     #[must_use]
     pub fn to_line(&self) -> String {
         match self {
@@ -830,20 +888,43 @@ impl WireResponse {
                 // materialized lazily from the response's flat
                 // [`Landscape`](crate::Landscape) buffers right here, at
                 // the serialization boundary.
-                let mut out = String::with_capacity(64 + response.landscape.len() * 64);
-                out.push_str(&format!("{{\"v\":{WIRE_VERSION},\"id\":\""));
-                out.push_str(&escape(id));
-                out.push_str("\",\"cells\":[");
-                for (i, cell) in response.landscape.iter().enumerate() {
+                let landscape = &response.landscape;
+                // Worst case per cell: the keys and punctuation
+                // (`{"n":`, `,"r":`, `}`, `,` and each metric's key)
+                // plus the longest number of each field.
+                let cell_bytes = 12
+                    + U32_BYTES
+                    + FLOAT_BYTES
+                    + landscape.costs().map_or(0, |_| 13 + FLOAT_BYTES)
+                    + landscape.errors().map_or(0, |_| 21 + FLOAT_BYTES);
+                let mut out =
+                    String::with_capacity(LINE_BYTES + id.len() + landscape.len() * cell_bytes);
+                open_line(&mut out, id);
+                out.push_str(",\"cells\":[");
+                // Every cell of an `r` column repeats its `r`: format it
+                // once per column.
+                let mut r_text = String::with_capacity(FLOAT_BYTES);
+                let mut r_bits = None;
+                for (i, cell) in landscape.iter().enumerate() {
                     if i > 0 {
                         out.push(',');
                     }
-                    out.push_str(&format!("{{\"n\":{},\"r\":{}", cell.n, write_f64(cell.r)));
+                    if r_bits != Some(cell.r.to_bits()) {
+                        r_bits = Some(cell.r.to_bits());
+                        r_text.clear();
+                        write_f64(&mut r_text, cell.r);
+                    }
+                    out.push_str("{\"n\":");
+                    write_u64(&mut out, u64::from(cell.n));
+                    out.push_str(",\"r\":");
+                    out.push_str(&r_text);
                     if let Some(c) = cell.mean_cost {
-                        out.push_str(&format!(",\"mean_cost\":{}", write_f64(c)));
+                        out.push_str(",\"mean_cost\":");
+                        write_f64(&mut out, c);
                     }
                     if let Some(e) = cell.error_probability {
-                        out.push_str(&format!(",\"error_probability\":{}", write_f64(e)));
+                        out.push_str(",\"error_probability\":");
+                        write_f64(&mut out, e);
                     }
                     out.push('}');
                 }
@@ -853,39 +934,54 @@ impl WireResponse {
                 out
             }
             WireResponse::Calibrate { id, response } => {
-                let mut out = format!(
-                    "{{\"v\":{WIRE_VERSION},\"id\":\"{}\",\"{VERB_CALIBRATE}\":{{\"error_cost\":{},\"n\":{},\"r\":{},\"mean_cost\":{},\"error_probability\":{}}},",
-                    escape(id),
-                    write_f64(response.error_cost),
-                    response.n,
-                    write_f64(response.r),
-                    write_f64(response.cost),
-                    write_f64(response.error_probability),
-                );
+                let mut out = String::with_capacity(LINE_BYTES + id.len() + 4 * FLOAT_BYTES);
+                open_line(&mut out, id);
+                out.push_str(",\"");
+                out.push_str(VERB_CALIBRATE);
+                out.push_str("\":{\"error_cost\":");
+                write_f64(&mut out, response.error_cost);
+                out.push_str(",\"n\":");
+                write_u64(&mut out, u64::from(response.n));
+                out.push_str(",\"r\":");
+                write_f64(&mut out, response.r);
+                out.push_str(",\"mean_cost\":");
+                write_f64(&mut out, response.cost);
+                out.push_str(",\"error_probability\":");
+                write_f64(&mut out, response.error_probability);
+                out.push_str("},");
                 push_stats(&mut out, &response.stats);
                 out.push('}');
                 out
             }
             WireResponse::Frontier { id, response } => {
-                let mut out = String::with_capacity(96 + response.points.len() * 96);
-                out.push_str(&format!(
-                    "{{\"v\":{WIRE_VERSION},\"id\":\"{}\",\"{VERB_FRONTIER}\":{{\"candidates\":{},\"points\":[",
-                    escape(id),
-                    response.candidates
-                ));
+                // Keys and punctuation, then the longest numbers.
+                let point_bytes = 56 + U32_BYTES + 5 * FLOAT_BYTES;
+                let mut out = String::with_capacity(
+                    LINE_BYTES + id.len() + response.points.len() * point_bytes,
+                );
+                open_line(&mut out, id);
+                out.push_str(",\"");
+                out.push_str(VERB_FRONTIER);
+                out.push_str("\":{\"candidates\":");
+                write_u64(&mut out, response.candidates as u64);
+                out.push_str(",\"points\":[");
                 for (i, p) in response.points.iter().enumerate() {
                     if i > 0 {
                         out.push(',');
                     }
-                    out.push_str(&format!(
-                        "{{\"x\":{},\"y\":{},\"n\":{},\"r\":{},\"mean_cost\":{},\"error_probability\":{}}}",
-                        write_f64(p.x),
-                        write_f64(p.y),
-                        p.n,
-                        write_f64(p.r),
-                        write_f64(p.cost),
-                        write_f64(p.error_probability),
-                    ));
+                    out.push_str("{\"x\":");
+                    write_f64(&mut out, p.x);
+                    out.push_str(",\"y\":");
+                    write_f64(&mut out, p.y);
+                    out.push_str(",\"n\":");
+                    write_u64(&mut out, u64::from(p.n));
+                    out.push_str(",\"r\":");
+                    write_f64(&mut out, p.r);
+                    out.push_str(",\"mean_cost\":");
+                    write_f64(&mut out, p.cost);
+                    out.push_str(",\"error_probability\":");
+                    write_f64(&mut out, p.error_probability);
+                    out.push('}');
                 }
                 out.push_str("]},");
                 push_stats(&mut out, &response.stats);
@@ -893,54 +989,73 @@ impl WireResponse {
                 out
             }
             WireResponse::Cancelled { id, of } => {
-                format!(
-                    "{{\"v\":{WIRE_VERSION},\"id\":\"{}\",\"cancelled\":\"{}\"}}",
-                    escape(id),
-                    escape(of)
-                )
+                let mut out = String::with_capacity(LINE_BYTES + id.len() + of.len());
+                open_line(&mut out, id);
+                out.push_str(",\"cancelled\":\"");
+                push_escaped(&mut out, of);
+                out.push_str("\"}");
+                out
             }
             WireResponse::Error { id, message } => {
-                format!(
-                    "{{\"v\":{WIRE_VERSION},\"id\":\"{}\",\"error\":\"{}\"}}",
-                    escape(id),
-                    escape(message)
-                )
+                let mut out = String::with_capacity(LINE_BYTES + id.len() + message.len());
+                open_line(&mut out, id);
+                out.push_str(",\"error\":\"");
+                push_escaped(&mut out, message);
+                out.push_str("\"}");
+                out
             }
             WireResponse::Stats {
                 engine: s,
                 pipeline: p,
                 depth,
             } => {
-                let per_worker = s
-                    .cells_per_worker
-                    .iter()
-                    .map(u64::to_string)
-                    .collect::<Vec<String>>()
-                    .join(",");
-                format!(
-                    "{{\"v\":{WIRE_VERSION},\"stats\":{{\"requests\":{},\"cells\":{},\"cache_hits\":{},\"cache_misses\":{},\"cache_len\":{},\"cells_per_worker\":[{}],\"wall_ns\":{},\
-                     \"kernel_backend\":\"{}\",\"dist_backend\":\"{}\",\
-                     \"pipeline\":{{\"depth\":{},\"submitted\":{},\"completed\":{},\"cancelled\":{},\"failed\":{},\
-                     \"queue_ns_total\":{},\"queue_ns_max\":{},\"service_ns_total\":{},\"service_ns_max\":{}}}}}}}",
-                    s.requests,
-                    s.cells,
-                    s.cache_hits,
-                    s.cache_misses,
-                    s.cache_len,
-                    per_worker,
-                    s.wall_nanos,
-                    s.kernel_backend,
-                    s.dist_backend,
-                    depth,
-                    p.submitted,
-                    p.completed,
-                    p.cancelled,
-                    p.failed,
-                    p.queue_nanos_total,
-                    p.queue_nanos_max,
-                    p.service_nanos_total,
-                    p.service_nanos_max,
-                )
+                let mut out = String::with_capacity(
+                    2 * LINE_BYTES + s.cells_per_worker.len() * (U32_BYTES + 11),
+                );
+                out.push_str("{\"v\":");
+                write_u64(&mut out, WIRE_VERSION);
+                out.push_str(",\"stats\":{\"requests\":");
+                write_u64(&mut out, s.requests);
+                out.push_str(",\"cells\":");
+                write_u64(&mut out, s.cells);
+                out.push_str(",\"cache_hits\":");
+                write_u64(&mut out, s.cache_hits);
+                out.push_str(",\"cache_misses\":");
+                write_u64(&mut out, s.cache_misses);
+                out.push_str(",\"cache_len\":");
+                write_u64(&mut out, s.cache_len as u64);
+                out.push_str(",\"cells_per_worker\":[");
+                for (i, cells) in s.cells_per_worker.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    write_u64(&mut out, *cells);
+                }
+                out.push_str("],\"wall_ns\":");
+                write_nanos(&mut out, s.wall_nanos);
+                out.push_str(",\"kernel_backend\":\"");
+                out.push_str(s.kernel_backend);
+                out.push_str("\",\"dist_backend\":\"");
+                out.push_str(s.dist_backend);
+                out.push_str("\",\"pipeline\":{\"depth\":");
+                write_u64(&mut out, *depth as u64);
+                for (key, value) in [
+                    ("submitted", p.submitted),
+                    ("completed", p.completed),
+                    ("cancelled", p.cancelled),
+                    ("failed", p.failed),
+                    ("queue_ns_total", p.queue_nanos_total),
+                    ("queue_ns_max", p.queue_nanos_max),
+                    ("service_ns_total", p.service_nanos_total),
+                    ("service_ns_max", p.service_nanos_max),
+                ] {
+                    out.push_str(",\"");
+                    out.push_str(key);
+                    out.push_str("\":");
+                    write_u64(&mut out, value);
+                }
+                out.push_str("}}}");
+                out
             }
         }
     }
@@ -1034,9 +1149,9 @@ impl PendingWork {
 /// not.
 pub struct PipelinedSession {
     pipeline: Pipeline,
-    /// Completed sweeps by wire id, referencable by later rescores,
-    /// calibrations and frontiers.
-    sweeps: HashMap<String, SweepRequest>,
+    /// The last [`RETAINED_SWEEPS`] completed sweeps by wire id, oldest
+    /// first, referencable by later rescores, calibrations and frontiers.
+    sweeps: VecDeque<(String, SweepRequest)>,
     /// Requests inside the pipeline, keyed by pipeline id.
     in_flight: HashMap<RequestId, InFlight>,
     /// Live wire id → pipeline id (for `cancel` lines).
@@ -1077,7 +1192,7 @@ impl PipelinedSession {
     pub fn attach(team: Arc<ExecutorTeam>) -> PipelinedSession {
         PipelinedSession {
             pipeline: Pipeline::attach(team),
-            sweeps: HashMap::new(),
+            sweeps: VecDeque::with_capacity(RETAINED_SWEEPS),
             in_flight: HashMap::new(),
             by_wire_id: HashMap::new(),
             waiting: HashMap::new(),
@@ -1265,7 +1380,7 @@ impl PipelinedSession {
     /// frontier): straight into the pipeline when the base sweep has
     /// completed, held back when the base is pending, an error otherwise.
     fn submit_dependent(&mut self, wire_id: String, of: &str, work: PendingWork) -> Vec<String> {
-        if let Some(base) = self.sweeps.get(of) {
+        if let Some((_, base)) = self.sweeps.iter().find(|(id, _)| id == of) {
             return match work.into_request(base) {
                 Ok(request) => self.submit_work(wire_id, request),
                 Err(e) => {
@@ -1288,7 +1403,10 @@ impl PipelinedSession {
         }
         vec![error_line(
             &wire_id,
-            &invalid(format!("no sweep with id `{of}`")),
+            &invalid(format!(
+                "no sweep with id `{of}` among the last {RETAINED_SWEEPS} completed sweeps \
+                 this session retains"
+            )),
         )]
     }
 
@@ -1348,7 +1466,12 @@ impl PipelinedSession {
             // Only a sweep establishes a base that dependents (rescore,
             // calibrate, frontier) can reference.
             if let WorkRequest::Sweep(sweep) = request {
-                self.sweeps.insert(wire_id.clone(), sweep);
+                // A reused id names its latest sweep.
+                self.sweeps.retain(|(id, _)| *id != wire_id);
+                if self.sweeps.len() == RETAINED_SWEEPS {
+                    self.sweeps.pop_front();
+                }
+                self.sweeps.push_back((wire_id.clone(), sweep));
             }
         }
         let mut out = vec![WireResponse::from_result(&wire_id, completion.result).to_line()];
@@ -1452,7 +1575,8 @@ mod tests {
     #[test]
     fn float_writer_roundtrips() {
         for x in [1.0, 0.1, 1e35, 1e-15, 12.600000000000001, f64::MIN_POSITIVE] {
-            let text = write_f64(x);
+            let mut text = String::new();
+            write_f64(&mut text, x);
             let back: f64 = match parse_json(&text).unwrap() {
                 Json::Num(v) => v,
                 other => panic!("parsed {other:?}"),
@@ -1713,5 +1837,252 @@ mod tests {
         let lines = session.drain();
         let refused = lines.iter().find(|l| l.contains("\"id\":\"r1\"")).unwrap();
         assert!(refused.contains("no sweep with id `k1`"), "{refused}");
+    }
+
+    /// The response encoder as it was written with `format!` and `{:?}`:
+    /// the reference every [`WireResponse::to_line`] must match byte for
+    /// byte.
+    fn reference_line(response: &WireResponse) -> String {
+        fn escape(s: &str) -> String {
+            let mut out = String::new();
+            for ch in s.chars() {
+                match ch {
+                    '"' => out.push_str("\\\""),
+                    '\\' => out.push_str("\\\\"),
+                    '\n' => out.push_str("\\n"),
+                    '\t' => out.push_str("\\t"),
+                    '\r' => out.push_str("\\r"),
+                    c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                    c => out.push(c),
+                }
+            }
+            out
+        }
+        fn stats(s: &BatchStats) -> String {
+            format!(
+                "\"stats\":{{\"wall_ns\":{},\"cache_hits\":{},\"cache_misses\":{},\"cells\":{},\"workers\":{}}}",
+                s.wall_nanos, s.cache_hits, s.cache_misses, s.cells, s.workers
+            )
+        }
+        match response {
+            WireResponse::Sweep { id, response } => {
+                let cells: Vec<String> = response
+                    .landscape
+                    .iter()
+                    .map(|cell| {
+                        let mut text = format!("{{\"n\":{},\"r\":{:?}", cell.n, cell.r);
+                        if let Some(c) = cell.mean_cost {
+                            text.push_str(&format!(",\"mean_cost\":{c:?}"));
+                        }
+                        if let Some(e) = cell.error_probability {
+                            text.push_str(&format!(",\"error_probability\":{e:?}"));
+                        }
+                        text + "}"
+                    })
+                    .collect();
+                format!(
+                    "{{\"v\":{WIRE_VERSION},\"id\":\"{}\",\"cells\":[{}],{}}}",
+                    escape(id),
+                    cells.join(","),
+                    stats(&response.stats)
+                )
+            }
+            WireResponse::Calibrate { id, response: k } => format!(
+                "{{\"v\":{WIRE_VERSION},\"id\":\"{}\",\"calibrate\":{{\"error_cost\":{:?},\"n\":{},\"r\":{:?},\"mean_cost\":{:?},\"error_probability\":{:?}}},{}}}",
+                escape(id),
+                k.error_cost,
+                k.n,
+                k.r,
+                k.cost,
+                k.error_probability,
+                stats(&k.stats)
+            ),
+            WireResponse::Frontier { id, response: f } => {
+                let points: Vec<String> = f
+                    .points
+                    .iter()
+                    .map(|p| {
+                        format!(
+                            "{{\"x\":{:?},\"y\":{:?},\"n\":{},\"r\":{:?},\"mean_cost\":{:?},\"error_probability\":{:?}}}",
+                            p.x, p.y, p.n, p.r, p.cost, p.error_probability
+                        )
+                    })
+                    .collect();
+                format!(
+                    "{{\"v\":{WIRE_VERSION},\"id\":\"{}\",\"frontier\":{{\"candidates\":{},\"points\":[{}]}},{}}}",
+                    escape(id),
+                    f.candidates,
+                    points.join(","),
+                    stats(&f.stats)
+                )
+            }
+            WireResponse::Cancelled { id, of } => format!(
+                "{{\"v\":{WIRE_VERSION},\"id\":\"{}\",\"cancelled\":\"{}\"}}",
+                escape(id),
+                escape(of)
+            ),
+            WireResponse::Error { id, message } => format!(
+                "{{\"v\":{WIRE_VERSION},\"id\":\"{}\",\"error\":\"{}\"}}",
+                escape(id),
+                escape(message)
+            ),
+            WireResponse::Stats {
+                engine: s,
+                pipeline: p,
+                depth,
+            } => format!(
+                "{{\"v\":{WIRE_VERSION},\"stats\":{{\"requests\":{},\"cells\":{},\"cache_hits\":{},\"cache_misses\":{},\"cache_len\":{},\"cells_per_worker\":[{}],\"wall_ns\":{},\"kernel_backend\":\"{}\",\"dist_backend\":\"{}\",\"pipeline\":{{\"depth\":{},\"submitted\":{},\"completed\":{},\"cancelled\":{},\"failed\":{},\"queue_ns_total\":{},\"queue_ns_max\":{},\"service_ns_total\":{},\"service_ns_max\":{}}}}}}}",
+                s.requests,
+                s.cells,
+                s.cache_hits,
+                s.cache_misses,
+                s.cache_len,
+                s.cells_per_worker
+                    .iter()
+                    .map(u64::to_string)
+                    .collect::<Vec<_>>()
+                    .join(","),
+                s.wall_nanos,
+                s.kernel_backend,
+                s.dist_backend,
+                depth,
+                p.submitted,
+                p.completed,
+                p.cancelled,
+                p.failed,
+                p.queue_nanos_total,
+                p.queue_nanos_max,
+                p.service_nanos_total,
+                p.service_nanos_max
+            ),
+        }
+    }
+
+    fn assert_encodes_like_reference(response: &WireResponse) {
+        assert_eq!(response.to_line(), reference_line(response));
+    }
+
+    #[test]
+    fn every_response_line_is_byte_identical_to_the_format_reference() {
+        let engine = engine(1);
+        let WireRequest::Sweep { request, .. } = parse_request_line(&sweep_line("s1")).unwrap()
+        else {
+            panic!("expected sweep");
+        };
+        let sweep = engine.evaluate(&request).unwrap();
+        assert_eq!(sweep.landscape.len(), 9);
+        let awkward_id = "s\"1\\ \n\t\r\u{1}\u{1f}\u{7f} é ✓";
+        for id in ["s1", awkward_id] {
+            assert_encodes_like_reference(&WireResponse::Sweep {
+                id: id.to_owned(),
+                response: sweep.clone(),
+            });
+        }
+        // One metric only, and values from every formatting regime:
+        // zeros, subnormals, exponent form, the 1e-4/1e16 edges, NaN and
+        // infinities.
+        let special = vec![
+            0.0,
+            -0.0,
+            5e-324,
+            1e-4,
+            9.999999999999999e-5,
+            1e16,
+            9999999999999998.0,
+            -2.5e-7,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MAX,
+        ];
+        let r_values = vec![0.1, 1e-300, 12.600000000000001, 3.0];
+        let landscape = crate::Landscape::new(3, r_values, Some(special), None);
+        assert_encodes_like_reference(&WireResponse::Sweep {
+            id: "special".to_owned(),
+            response: SweepResponse {
+                landscape,
+                stats: BatchStats {
+                    wall_nanos: u128::from(u64::MAX) + 1,
+                    ..BatchStats::default()
+                },
+            },
+        });
+
+        let calibrate = engine
+            .calibrate(&CalibrateRequest {
+                scenario: request.scenario.clone(),
+                grid: request.grid.clone(),
+                target_n: 2,
+                target_r: 1.0,
+            })
+            .unwrap();
+        assert_encodes_like_reference(&WireResponse::Calibrate {
+            id: "k1".to_owned(),
+            response: calibrate,
+        });
+        let frontier = engine
+            .frontier(&FrontierRequest {
+                scenario: request.scenario.clone(),
+                grid: request.grid.clone(),
+                x: AxisSpec::new(ParamAxis::ErrorCost, vec![1e3, 1e9, 1e30]),
+                y: AxisSpec::new(ParamAxis::ProbeCost, vec![0.5, 2.0]),
+            })
+            .unwrap();
+        assert!(!frontier.points.is_empty());
+        assert_encodes_like_reference(&WireResponse::Frontier {
+            id: "f1".to_owned(),
+            response: frontier,
+        });
+        assert_encodes_like_reference(&WireResponse::error(
+            awkward_id,
+            &invalid("no sweep with id `\"x\"`\n"),
+        ));
+        assert_encodes_like_reference(&WireResponse::Cancelled {
+            id: "c1".to_owned(),
+            of: awkward_id.to_owned(),
+        });
+        let mut stats = engine.stats();
+        stats.cells_per_worker = vec![0, 7, u64::MAX];
+        assert_encodes_like_reference(&WireResponse::Stats {
+            engine: stats,
+            pipeline: PipelineStats {
+                submitted: 3,
+                queue_nanos_max: u64::MAX,
+                ..PipelineStats::default()
+            },
+            depth: 4,
+        });
+    }
+
+    #[test]
+    fn a_session_retains_only_its_last_completed_sweeps() {
+        let mut session = PipelinedSession::new(engine(1), PipelineConfig::with_depth(1));
+        for k in 0..=RETAINED_SWEEPS {
+            let line = handle(&mut session, &sweep_line(&format!("s{k}"))).unwrap();
+            assert!(line.contains("\"cells\""), "{line}");
+        }
+        let evicted = handle(
+            &mut session,
+            "{\"id\":\"r0\",\"rescore\":{\"of\":\"s0\",\"error_cost\":1e9}}",
+        )
+        .unwrap();
+        assert!(
+            evicted.contains(&format!(
+                "no sweep with id `s0` among the last {RETAINED_SWEEPS} completed sweeps"
+            )),
+            "{evicted}"
+        );
+        let last = format!(
+            "{{\"id\":\"r1\",\"rescore\":{{\"of\":\"s{RETAINED_SWEEPS}\",\"error_cost\":1e9}}}}"
+        );
+        let rescored = handle(&mut session, &last).unwrap();
+        let parsed = parse_json(&rescored).unwrap();
+        let Some(Json::Arr(cells)) = parsed.get("cells") else {
+            panic!("no cells in {rescored}");
+        };
+        assert_eq!(cells.len(), 9);
+        // The rescore is itself a completed sweep, so it evicted `s1`.
+        assert_eq!(session.sweeps.len(), RETAINED_SWEEPS);
+        assert!(session.sweeps.iter().all(|(id, _)| id != "s1"));
     }
 }

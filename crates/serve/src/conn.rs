@@ -137,9 +137,10 @@ struct OutBuf {
 const MAX_IOVECS: usize = 64;
 
 impl OutBuf {
-    fn push_line(&mut self, line: &str) {
-        let mut chunk = Vec::with_capacity(line.len() + 1);
-        chunk.extend_from_slice(line.as_bytes());
+    /// Queues `line` and its newline, reusing the line's buffer: an
+    /// answer is never copied on its way to the socket.
+    fn push_line(&mut self, line: String) {
+        let mut chunk = line.into_bytes();
         chunk.push(b'\n');
         self.len += chunk.len();
         self.chunks.push_back(chunk);
@@ -331,7 +332,7 @@ impl Connection {
                             // An oversize line never reaches the budget
                             // or the session: its one answer is this.
                             self.count_request();
-                            self.push_out(&oversize_line_refusal());
+                            self.push_out(oversize_line_refusal());
                             continue;
                         };
                         // Once anything is parked, everything parks:
@@ -378,7 +379,7 @@ impl Connection {
         // therefore backpressures only itself, never the shared budget.
         self.sync_permits();
         if !self.gone {
-            for line in &ready {
+            for line in ready {
                 self.push_out(line);
             }
             self.admit_parked();
@@ -459,7 +460,7 @@ impl Connection {
                 self.count_request();
                 let id = str_member(value, "id").unwrap_or_default().to_owned();
                 let stats_line = stats_response_line(&id, &self.snapshot());
-                self.push_out(&stats_line);
+                self.push_out(stats_line);
                 return true;
             }
         }
@@ -482,7 +483,7 @@ impl Connection {
             self.permits += 1;
         }
         let immediate = self.session().submit_line(line);
-        for response in &immediate {
+        for response in immediate {
             self.push_out(response);
         }
         self.sync_permits();
@@ -492,7 +493,7 @@ impl Connection {
     /// Test seam (listener drain tests): queues output exactly as a
     /// polled completion would, without needing a live session.
     #[cfg(test)]
-    pub(crate) fn test_push_out(&mut self, line: &str) {
+    pub(crate) fn test_push_out(&mut self, line: String) {
         self.push_out(line);
     }
 
@@ -535,7 +536,7 @@ impl Connection {
     }
 
     /// Queues one response line (counted here, written by the flush).
-    fn push_out(&mut self, line: &str) {
+    fn push_out(&mut self, line: String) {
         self.metrics.responses += 1;
         // ORDERING: server-wide statistics tally; readers only report it.
         self.shared
@@ -734,8 +735,8 @@ mod tests {
         // A socketpair via TcpStream would need a real fd; exercise the
         // chunk bookkeeping directly instead.
         let mut out = OutBuf::default();
-        out.push_line("hello");
-        out.push_line("world!");
+        out.push_line("hello".to_owned());
+        out.push_line("world!".to_owned());
         assert_eq!(out.len(), 13);
         assert!(!out.is_empty());
         out.clear();
@@ -753,8 +754,8 @@ mod tests {
         let mut socket = ClientSocket::Tcp(server);
 
         let mut out = OutBuf::default();
-        out.push_line("alpha");
-        out.push_line("beta");
+        out.push_line("alpha".to_owned());
+        out.push_line("beta".to_owned());
         let written = out.write_to(&mut socket).unwrap();
         assert_eq!(written, 11);
         assert!(out.is_empty());
@@ -802,13 +803,13 @@ mod tests {
         assert_eq!(conn.interest(), Interest::READ);
 
         // Queued output adds write interest.
-        conn.push_out("pong");
+        conn.push_out("pong".to_owned());
         assert!(conn.interest().writable);
         assert!(conn.interest().readable);
 
         // Crossing the high-water mark gates reading.
         let big = "x".repeat(OUT_HIGH_WATER);
-        conn.push_out(&big);
+        conn.push_out(big);
         assert!(!conn.interest().readable, "reads gate above high water");
         assert!(conn.interest().writable);
         assert_eq!(conn.parked_len(), 0);

@@ -128,10 +128,20 @@ impl BoundListener {
     /// (still in whatever blocking mode `accept(2)` hands out — the
     /// loop makes it nonblocking once it is admitted), `Ok(None)` when
     /// nothing is pending.
+    ///
+    /// TCP clients get `TCP_NODELAY`. The output buffer already hands
+    /// the kernel whole lines through one `writev`, so Nagle's algorithm
+    /// adds no coalescing; it only holds a small answer back behind an
+    /// un-ACKed large one until the client's delayed ACK fires.
     fn accept_socket(&self) -> std::io::Result<Option<ClientSocket>> {
         match self {
             BoundListener::Tcp(listener) => match listener.accept() {
-                Ok((stream, _)) => Ok(Some(ClientSocket::Tcp(stream))),
+                Ok((stream, _)) => {
+                    // A socket that refuses the option still serves
+                    // correctly, only with Nagle's delays.
+                    let _ = stream.set_nodelay(true);
+                    Ok(Some(ClientSocket::Tcp(stream)))
+                }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => Ok(None),
                 Err(e) => Err(e),
             },
@@ -490,7 +500,7 @@ mod tests {
             .values_mut()
             .next()
             .unwrap()
-            .test_push_out(&big);
+            .test_push_out(big);
 
         shared.shutdown.trigger();
         let (done_tx, done_rx) = std::sync::mpsc::channel();
@@ -503,5 +513,22 @@ mod tests {
             .expect("drain must be bounded by the deadline, not the client");
         runner.join().unwrap();
         drop(client);
+    }
+
+    #[test]
+    fn accepted_tcp_sockets_have_nodelay() {
+        let bound = BoundListener::bind(&Endpoint::Tcp("127.0.0.1:0".into())).unwrap();
+        let addr = bound.description();
+        let _client = std::net::TcpStream::connect(addr.strip_prefix("tcp:").unwrap()).unwrap();
+        let socket = loop {
+            if let Some(socket) = bound.accept_socket().unwrap() {
+                break socket;
+            }
+            std::thread::yield_now();
+        };
+        let ClientSocket::Tcp(stream) = socket else {
+            panic!("a TCP listener accepts TCP sockets");
+        };
+        assert!(stream.nodelay().unwrap());
     }
 }
