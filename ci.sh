@@ -39,6 +39,12 @@ cargo test -q
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
+echo "==> serve daemon suite in release (cargo test --release -p zeroconf-serve --test serve_daemon)"
+# The daemon tests race real sockets against engine work, and a release
+# build finishes that work several times faster than the debug build
+# above, so a test that only holds under debug timing fails here.
+cargo test -q --release -p zeroconf-serve --test serve_daemon
+
 echo "==> concurrency model tests (--cfg zeroconf_loom interleaving explorer)"
 # The vendored loom replacement (crates/serve/src/model_tests.rs):
 # exhaustive schedule enumeration over the FairBudget admission protocol

@@ -40,8 +40,8 @@ use std::os::unix::net::UnixStream;
 use std::path::Path;
 use std::time::{Duration, Instant};
 
-pub use zeroconf_engine::wire::{parse_json, Json, WIRE_VERSION};
-use zeroconf_engine::wire::{VERB_CALIBRATE, VERB_FRONTIER};
+pub use zeroconf_engine::wire::{parse_json, Json, Key, WIRE_VERSION};
+use zeroconf_engine::wire::{Escaped, VERB_CALIBRATE, VERB_FRONTIER};
 
 /// Default per-wait deadline: generous enough for a cold engine on a
 /// loaded CI box, short enough that a hung daemon fails the run.
@@ -468,7 +468,7 @@ impl Client {
     pub fn sweep(&mut self, id: &str, scenario: &Scenario, grid: &Grid) -> Result<()> {
         let line = format!(
             "{{\"v\":{WIRE_VERSION},\"id\":\"{}\",\"scenario\":{},\"grid\":{}}}",
-            escape(id),
+            Escaped(id),
             scenario.to_wire(),
             grid.to_wire()
         );
@@ -484,8 +484,8 @@ impl Client {
     pub fn rescore(&mut self, id: &str, of: &str, error_cost: f64) -> Result<()> {
         let line = format!(
             "{{\"v\":{WIRE_VERSION},\"id\":\"{}\",\"rescore\":{{\"of\":\"{}\",\"error_cost\":{error_cost:?}}}}}",
-            escape(id),
-            escape(of)
+            Escaped(id),
+            Escaped(of)
         );
         self.send_raw(&line)
     }
@@ -499,8 +499,8 @@ impl Client {
     pub fn calibrate(&mut self, id: &str, of: &str, n: u32, r: f64) -> Result<()> {
         let line = format!(
             "{{\"v\":{WIRE_VERSION},\"id\":\"{}\",\"{VERB_CALIBRATE}\":{{\"of\":\"{}\",\"n\":{n},\"r\":{r:?}}}}}",
-            escape(id),
-            escape(of)
+            Escaped(id),
+            Escaped(of)
         );
         self.send_raw(&line)
     }
@@ -521,7 +521,7 @@ impl Client {
     ) -> Result<()> {
         let line = format!(
             "{{\"v\":{WIRE_VERSION},\"id\":\"{}\",\"scenario\":{},\"grid\":{},\"{VERB_CALIBRATE}\":{{\"n\":{n},\"r\":{r:?}}}}}",
-            escape(id),
+            Escaped(id),
             scenario.to_wire(),
             grid.to_wire()
         );
@@ -537,8 +537,8 @@ impl Client {
     pub fn frontier(&mut self, id: &str, of: &str, x: &Axis, y: &Axis) -> Result<()> {
         let line = format!(
             "{{\"v\":{WIRE_VERSION},\"id\":\"{}\",\"{VERB_FRONTIER}\":{{\"of\":\"{}\",\"x\":{},\"y\":{}}}}}",
-            escape(id),
-            escape(of),
+            Escaped(id),
+            Escaped(of),
             x.to_wire(),
             y.to_wire()
         );
@@ -553,8 +553,8 @@ impl Client {
     pub fn cancel(&mut self, id: &str, of: &str) -> Result<()> {
         let line = format!(
             "{{\"v\":{WIRE_VERSION},\"id\":\"{}\",\"cancel\":\"{}\"}}",
-            escape(id),
-            escape(of)
+            Escaped(id),
+            Escaped(of)
         );
         self.send_raw(&line)
     }
@@ -568,7 +568,7 @@ impl Client {
     pub fn stats(&mut self, id: &str) -> Result<Response> {
         let line = format!(
             "{{\"v\":{WIRE_VERSION},\"id\":\"{}\",\"stats\":true}}",
-            escape(id)
+            Escaped(id)
         );
         self.send_raw(&line)?;
         self.wait(id)
@@ -699,25 +699,6 @@ impl Client {
     }
 }
 
-/// Escapes a string for embedding in a JSON string literal.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -797,8 +778,8 @@ mod tests {
     fn verb_frames_decode_and_ids_escape() {
         let rescore = format!(
             "{{\"v\":{WIRE_VERSION},\"id\":\"{}\",\"rescore\":{{\"of\":\"{}\",\"error_cost\":{:?}}}}}",
-            escape("a\"b"),
-            escape("s1"),
+            Escaped("a\"b"),
+            Escaped("s1"),
             1e9
         );
         let WireRequest::Rescore { id, .. } = parse_request_line(&rescore).unwrap() else {
@@ -847,6 +828,29 @@ mod tests {
         assert_eq!(response.number(&["stats", "engine", "requests"]), Some(7.0));
         assert_eq!(response.number(&["stats", "engine", "absent"]), None);
         assert_eq!(response.error(), None);
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn request_frames_escape_ids_like_every_wire_line() {
+        use std::io::BufRead;
+
+        let (ours, theirs) = UnixStream::pair().unwrap();
+        let mut client = Client::from_stream(Stream::Unix(ours)).unwrap();
+        let id = "a\"b\\c\nd\u{1}";
+        client.cancel(id, id).unwrap();
+        let mut frame = String::new();
+        BufReader::new(theirs).read_line(&mut frame).unwrap();
+        let escaped = "a\\\"b\\\\c\\nd\\u0001";
+        assert_eq!(
+            frame,
+            format!("{{\"v\":{WIRE_VERSION},\"id\":\"{escaped}\",\"cancel\":\"{escaped}\"}}\n")
+        );
+        let WireRequest::Cancel { id: decoded, .. } = parse_request_line(frame.trim_end()).unwrap()
+        else {
+            panic!("cancel decodes: {frame}");
+        };
+        assert_eq!(decoded, id);
     }
 
     #[cfg(unix)]

@@ -60,6 +60,40 @@ pub fn heavy_sweep_line(id: &str, n_max: u32, r_points: usize) -> String {
     )
 }
 
+/// Reply-time components of a [`slow_sweep_line`]: each π-table entry
+/// costs one CDF evaluation per component.
+const SLOW_COMPONENTS: usize = 2000;
+
+/// `r` columns of a [`slow_sweep_line`].
+const SLOW_R_POINTS: usize = 2000;
+
+/// A cold sweep that outlasts any disconnect or admission round trip by
+/// orders of magnitude, for tests that need requests still in flight
+/// when the next event lands. Its reply time mixes 2000 exponentials, so
+/// each cell costs thousands of CDF evaluations: on a 2-CPU host the
+/// 64 × 2000 grid took 1.7 s in a release build and 12 s in a debug
+/// build. A cancellation lands at the next chunk boundary, within a
+/// quarter of that. `salt` shifts every rate, so sweeps with different
+/// salts share no π-table. The line is about 170 KB.
+#[must_use]
+pub fn slow_sweep_line(id: &str, salt: u32) -> String {
+    let components = (0..SLOW_COMPONENTS)
+        .map(|k| {
+            let rate = 10.0 + f64::from(salt) + k as f64 * 1e-3;
+            format!(
+                "{{\"weight\":1.0,\"dist\":{{\"kind\":\"exponential\",\"loss\":1e-6,\"rate\":{rate:?},\"delay\":1.0}}}}"
+            )
+        })
+        .collect::<Vec<String>>()
+        .join(",");
+    format!(
+        "{{\"v\":{WIRE_VERSION},\"id\":\"{id}\",\
+         \"scenario\":{{\"q\":0.5,\"probe_cost\":2.0,\"error_cost\":1e6,\
+         \"reply_time\":{{\"kind\":\"mixture\",\"components\":[{components}]}}}},\
+         \"grid\":{{\"n_max\":64,\"r_min\":0.1,\"r_max\":30.0,\"r_points\":{SLOW_R_POINTS}}}}}"
+    )
+}
+
 /// A rescore of `of` under a changed collision cost.
 #[must_use]
 pub fn rescore_line(id: &str, of: &str, error_cost: f64) -> String {
@@ -92,6 +126,12 @@ mod tests {
             panic!("heavy sweep decodes as a sweep");
         };
         assert_eq!(request.grid.r_values.len(), 200);
+        let slow = slow_sweep_line("e", 1);
+        let WireRequest::Sweep { request, .. } = parse_request_line(&slow).unwrap() else {
+            panic!("slow sweep decodes as a sweep");
+        };
+        assert_eq!(request.grid.cells(), 64 * SLOW_R_POINTS);
+        assert_ne!(slow, slow_sweep_line("e", 2));
         assert!(matches!(
             parse_request_line(&rescore_line("s2", "s1", 1e9)),
             Ok(WireRequest::Rescore { .. })

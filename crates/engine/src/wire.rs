@@ -65,6 +65,7 @@
 //! from `submit_line` followed by `drain`.
 
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::num::NonZeroU8;
 use std::sync::Arc;
 
 use zeroconf_cost::Scenario;
@@ -127,6 +128,96 @@ fn err(message: impl Into<String>) -> WireError {
 // offline, so no serde).
 // ---------------------------------------------------------------------------
 
+/// The longest key a [`Key`] holds inline: the longest key the protocol
+/// emits, `cancelled_on_disconnect`, is 23 bytes.
+const INLINE_KEY_BYTES: usize = 23;
+
+/// An object key. Keys of up to 23 bytes (every key the protocol emits)
+/// are held inline, so decoding an object allocates no key; longer keys
+/// fall back to a boxed `str`. Reads like a `&str` (`Deref`, `as_str`,
+/// comparisons) and prints like a `String` in `{:?}`.
+#[derive(Clone)]
+pub struct Key(KeyRepr);
+
+#[derive(Clone)]
+enum KeyRepr {
+    /// The key's bytes, of which the first `tag - 1` are used. The
+    /// offset by one leaves 0 as the niche that keeps `Key` 24 bytes.
+    Inline(NonZeroU8, [u8; INLINE_KEY_BYTES]),
+    Boxed(Box<str>),
+}
+
+impl Key {
+    /// The key as a string slice.
+    #[must_use]
+    pub fn as_str(&self) -> &str {
+        match &self.0 {
+            // The inline bytes were copied from a `str`, so they are
+            // always valid UTF-8 and the fallback never runs.
+            KeyRepr::Inline(..) => std::str::from_utf8(self.as_bytes()).unwrap_or_default(),
+            KeyRepr::Boxed(key) => key,
+        }
+    }
+
+    fn as_bytes(&self) -> &[u8] {
+        match &self.0 {
+            KeyRepr::Inline(tag, bytes) => &bytes[..usize::from(tag.get() - 1)],
+            KeyRepr::Boxed(key) => key.as_bytes(),
+        }
+    }
+}
+
+impl From<&str> for Key {
+    fn from(key: &str) -> Key {
+        let mut bytes = [0; INLINE_KEY_BYTES];
+        match bytes.get_mut(..key.len()) {
+            Some(inline) => {
+                inline.copy_from_slice(key.as_bytes());
+                // `key.len()` is at most 23 here, so the cast is lossless.
+                let tag = NonZeroU8::MIN.saturating_add(key.len() as u8);
+                Key(KeyRepr::Inline(tag, bytes))
+            }
+            None => Key(KeyRepr::Boxed(key.into())),
+        }
+    }
+}
+
+impl From<String> for Key {
+    fn from(key: String) -> Key {
+        if key.len() <= INLINE_KEY_BYTES {
+            Key::from(key.as_str())
+        } else {
+            Key(KeyRepr::Boxed(key.into_boxed_str()))
+        }
+    }
+}
+
+impl std::ops::Deref for Key {
+    type Target = str;
+
+    fn deref(&self) -> &str {
+        self.as_str()
+    }
+}
+
+impl PartialEq for Key {
+    fn eq(&self, other: &Key) -> bool {
+        self.as_bytes() == other.as_bytes()
+    }
+}
+
+impl PartialEq<str> for Key {
+    fn eq(&self, other: &str) -> bool {
+        self.as_bytes() == other.as_bytes()
+    }
+}
+
+impl std::fmt::Debug for Key {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        std::fmt::Debug::fmt(self.as_str(), f)
+    }
+}
+
 /// A parsed JSON value. Objects preserve key order.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
@@ -141,7 +232,7 @@ pub enum Json {
     /// An array.
     Arr(Vec<Json>),
     /// An object, in source order.
-    Obj(Vec<(String, Json)>),
+    Obj(Vec<(Key, Json)>),
 }
 
 impl Json {
@@ -181,15 +272,18 @@ const MAX_NESTING: usize = 64;
 /// Returns a [`WireError`] describing the first syntax problem, including
 /// arrays and objects nested deeper than 64 levels.
 pub fn parse_json(input: &str) -> Result<Json, WireError> {
-    let bytes = input.as_bytes();
     let mut pos = 0;
-    let value = parse_value(bytes, &mut pos, 0)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
+    let value = parse_value(input, &mut pos, 0)?;
+    skip_ws(input.as_bytes(), &mut pos);
+    if pos != input.len() {
         return Err(err(format!("trailing input at byte {pos}")));
     }
     Ok(value)
 }
+
+// The parser scans `input` as bytes and takes keys, string runs and
+// numbers as slices of `input` between ASCII delimiters, which are
+// always char boundaries: no slice needs UTF-8 validation again.
 
 fn skip_ws(bytes: &[u8], pos: &mut usize) {
     while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
@@ -199,7 +293,8 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
 
 /// Parses the value at `pos`, which sits inside `depth` enclosing arrays
 /// and objects.
-fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, WireError> {
+fn parse_value(input: &str, pos: &mut usize, depth: usize) -> Result<Json, WireError> {
+    let bytes = input.as_bytes();
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err(err("unexpected end of input")),
@@ -207,13 +302,13 @@ fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, Wire
             "nesting deeper than {MAX_NESTING} levels at byte {pos}",
             pos = *pos
         ))),
-        Some(b'{') => parse_object(bytes, pos, depth + 1),
-        Some(b'[') => parse_array(bytes, pos, depth + 1),
-        Some(b'"') => Ok(Json::Str(parse_string(bytes, pos)?)),
+        Some(b'{') => parse_object(input, pos, depth + 1),
+        Some(b'[') => parse_array(input, pos, depth + 1),
+        Some(b'"') => Ok(Json::Str(parse_string(input, pos)?)),
         Some(b't') => parse_literal(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_literal(bytes, pos, "false", Json::Bool(false)),
         Some(b'n') => parse_literal(bytes, pos, "null", Json::Null),
-        Some(_) => parse_number(bytes, pos),
+        Some(_) => parse_number(input, pos),
     }
 }
 
@@ -231,20 +326,39 @@ fn parse_literal(
     }
 }
 
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, WireError> {
+fn parse_number(input: &str, pos: &mut usize) -> Result<Json, WireError> {
+    let bytes = input.as_bytes();
     let start = *pos;
     while *pos < bytes.len()
         && matches!(bytes[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
     {
         *pos += 1;
     }
-    let text = std::str::from_utf8(&bytes[start..*pos]).expect("numeric bytes are ASCII");
+    // Number bytes are ASCII, so the slice always exists.
+    let text = input.get(start..*pos).unwrap_or_default();
     text.parse::<f64>()
         .map(Json::Num)
         .map_err(|_| err(format!("invalid number `{text}` at byte {start}")))
 }
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, WireError> {
+/// The key at `pos` (on its opening quote) as a slice of `input` when
+/// it has no escapes, with `pos` moved past its closing quote. `None`,
+/// with `pos` unmoved, when [`parse_string`] must decode it: an escape or
+/// no closing quote.
+fn plain_key<'a>(input: &'a str, pos: &mut usize) -> Option<&'a str> {
+    let start = *pos + 1;
+    let rest = input.as_bytes().get(start..)?;
+    let len = rest.iter().position(|&b| matches!(b, b'"' | b'\\'))?;
+    if rest[len] != b'"' {
+        return None;
+    }
+    let text = input.get(start..start + len)?;
+    *pos = start + len + 1;
+    Some(text)
+}
+
+fn parse_string(input: &str, pos: &mut usize) -> Result<String, WireError> {
+    let bytes = input.as_bytes();
     debug_assert_eq!(bytes[*pos], b'"');
     *pos += 1;
     let mut out = String::new();
@@ -284,23 +398,22 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, WireError> {
             }
             Some(_) => {
                 // Consume the whole run of plain characters up to the
-                // next quote or backslash in one step, validating UTF-8
-                // once per run. (Per-character validation of the entire
-                // remaining input made string parsing quadratic — fatal
-                // on multi-megabyte response lines.)
+                // next quote or backslash in one step.
                 let start = *pos;
                 while *pos < bytes.len() && !matches!(bytes[*pos], b'"' | b'\\') {
                     *pos += 1;
                 }
-                let run = std::str::from_utf8(&bytes[start..*pos])
-                    .map_err(|_| err("invalid UTF-8 in string"))?;
+                let run = input
+                    .get(start..*pos)
+                    .ok_or_else(|| err("invalid UTF-8 in string"))?;
                 out.push_str(run);
             }
         }
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, WireError> {
+fn parse_array(input: &str, pos: &mut usize, depth: usize) -> Result<Json, WireError> {
+    let bytes = input.as_bytes();
     *pos += 1; // consume '['
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -309,7 +422,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, Wire
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos, depth)?);
+        items.push(parse_value(input, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -322,7 +435,8 @@ fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, Wire
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, WireError> {
+fn parse_object(input: &str, pos: &mut usize, depth: usize) -> Result<Json, WireError> {
+    let bytes = input.as_bytes();
     *pos += 1; // consume '{'
     let mut members = Vec::new();
     skip_ws(bytes, pos);
@@ -335,13 +449,16 @@ fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, Wir
         if bytes.get(*pos) != Some(&b'"') {
             return Err(err("expected string key in object"));
         }
-        let key = parse_string(bytes, pos)?;
+        let key = match plain_key(input, pos) {
+            Some(text) => Key::from(text),
+            None => Key::from(parse_string(input, pos)?),
+        };
         skip_ws(bytes, pos);
         if bytes.get(*pos) != Some(&b':') {
             return Err(err("expected `:` after object key"));
         }
         *pos += 1;
-        let value = parse_value(bytes, pos, depth)?;
+        let value = parse_value(input, pos, depth)?;
         members.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -355,9 +472,27 @@ fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, Wir
     }
 }
 
-/// Appends `s` as the inside of a JSON string: `"`, `\\` and control
-/// characters escaped, everything else copied through in runs.
+/// Appends `s` as the inside of a JSON string (see [`Escaped`]).
 fn push_escaped(out: &mut String, s: &str) {
+    // Writing into a `String` cannot fail.
+    let _ = write_escaped(out, s);
+}
+
+/// Displays a string as the inside of a JSON string: `"`, `\\` and
+/// control characters escaped, everything else copied through. The one
+/// escaper of the wire: response lines, the daemon's `stats` line and
+/// the client's request frames all use it.
+#[derive(Debug, Clone, Copy)]
+pub struct Escaped<'a>(pub &'a str);
+
+impl std::fmt::Display for Escaped<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write_escaped(f, self.0)
+    }
+}
+
+/// Writes `s` escaped, copying the runs between escapes through whole.
+fn write_escaped(out: &mut impl std::fmt::Write, s: &str) -> std::fmt::Result {
     const HEX: &[u8; 16] = b"0123456789abcdef";
     let mut run_start = 0;
     for (i, byte) in s.bytes().enumerate() {
@@ -366,22 +501,22 @@ fn push_escaped(out: &mut String, s: &str) {
         }
         // `i` indexes an ASCII byte, so both slice ends are char
         // boundaries.
-        out.push_str(&s[run_start..i]);
+        out.write_str(&s[run_start..i])?;
         match byte {
-            b'"' => out.push_str("\\\""),
-            b'\\' => out.push_str("\\\\"),
-            b'\n' => out.push_str("\\n"),
-            b'\t' => out.push_str("\\t"),
-            b'\r' => out.push_str("\\r"),
+            b'"' => out.write_str("\\\"")?,
+            b'\\' => out.write_str("\\\\")?,
+            b'\n' => out.write_str("\\n")?,
+            b'\t' => out.write_str("\\t")?,
+            b'\r' => out.write_str("\\r")?,
             _ => {
-                out.push_str("\\u00");
-                out.push(char::from(HEX[usize::from(byte >> 4)]));
-                out.push(char::from(HEX[usize::from(byte & 0xf)]));
+                out.write_str("\\u00")?;
+                out.write_char(char::from(HEX[usize::from(byte >> 4)]))?;
+                out.write_char(char::from(HEX[usize::from(byte & 0xf)]))?;
             }
         }
         run_start = i + 1;
     }
-    out.push_str(&s[run_start..]);
+    out.write_str(&s[run_start..])
 }
 
 // ---------------------------------------------------------------------------
@@ -702,7 +837,7 @@ pub fn decode_request(value: &Json) -> Result<WireRequest, WireError> {
                 .iter()
                 .find(|(key, _)| !KNOWN_KEYS.contains(&key.as_str()))
             {
-                return Err(err(format!("unknown request verb `{key}`")));
+                return Err(err(format!("unknown request verb `{}`", key.as_str())));
             }
         }
     }
@@ -1507,6 +1642,9 @@ impl PipelinedSession {
 
 #[cfg(test)]
 mod tests {
+    use zeroconf_rng::rngs::StdRng;
+    use zeroconf_rng::{Rng, RngCore, SeedableRng};
+
     use crate::EngineConfig;
 
     use super::*;
@@ -1962,8 +2100,10 @@ mod tests {
         assert_eq!(response.to_line(), reference_line(response));
     }
 
-    #[test]
-    fn every_response_line_is_byte_identical_to_the_format_reference() {
+    /// One answer of every `WireResponse` variant, with awkward ids and
+    /// numbers from every formatting regime.
+    fn every_response_variant() -> Vec<WireResponse> {
+        let mut responses = Vec::new();
         let engine = engine(1);
         let WireRequest::Sweep { request, .. } = parse_request_line(&sweep_line("s1")).unwrap()
         else {
@@ -1973,7 +2113,7 @@ mod tests {
         assert_eq!(sweep.landscape.len(), 9);
         let awkward_id = "s\"1\\ \n\t\r\u{1}\u{1f}\u{7f} é ✓";
         for id in ["s1", awkward_id] {
-            assert_encodes_like_reference(&WireResponse::Sweep {
+            responses.push(WireResponse::Sweep {
                 id: id.to_owned(),
                 response: sweep.clone(),
             });
@@ -1997,7 +2137,7 @@ mod tests {
         ];
         let r_values = vec![0.1, 1e-300, 12.600000000000001, 3.0];
         let landscape = crate::Landscape::new(3, r_values, Some(special), None);
-        assert_encodes_like_reference(&WireResponse::Sweep {
+        responses.push(WireResponse::Sweep {
             id: "special".to_owned(),
             response: SweepResponse {
                 landscape,
@@ -2016,7 +2156,7 @@ mod tests {
                 target_r: 1.0,
             })
             .unwrap();
-        assert_encodes_like_reference(&WireResponse::Calibrate {
+        responses.push(WireResponse::Calibrate {
             id: "k1".to_owned(),
             response: calibrate,
         });
@@ -2029,21 +2169,21 @@ mod tests {
             })
             .unwrap();
         assert!(!frontier.points.is_empty());
-        assert_encodes_like_reference(&WireResponse::Frontier {
+        responses.push(WireResponse::Frontier {
             id: "f1".to_owned(),
             response: frontier,
         });
-        assert_encodes_like_reference(&WireResponse::error(
+        responses.push(WireResponse::error(
             awkward_id,
             &invalid("no sweep with id `\"x\"`\n"),
         ));
-        assert_encodes_like_reference(&WireResponse::Cancelled {
+        responses.push(WireResponse::Cancelled {
             id: "c1".to_owned(),
             of: awkward_id.to_owned(),
         });
         let mut stats = engine.stats();
         stats.cells_per_worker = vec![0, 7, u64::MAX];
-        assert_encodes_like_reference(&WireResponse::Stats {
+        responses.push(WireResponse::Stats {
             engine: stats,
             pipeline: PipelineStats {
                 submitted: 3,
@@ -2052,6 +2192,14 @@ mod tests {
             },
             depth: 4,
         });
+        responses
+    }
+
+    #[test]
+    fn every_response_line_is_byte_identical_to_the_format_reference() {
+        for response in every_response_variant() {
+            assert_encodes_like_reference(&response);
+        }
     }
 
     #[test]
@@ -2084,5 +2232,510 @@ mod tests {
         // The rescore is itself a completed sweep, so it evicted `s1`.
         assert_eq!(session.sweeps.len(), RETAINED_SWEEPS);
         assert!(session.sweeps.iter().all(|(id, _)| id != "s1"));
+    }
+
+    /// The parser as it was with `String` keys. [`parse_json`] must agree
+    /// with it on every input, value for value and error for error.
+    mod reference {
+        use crate::wire::{err, WireError};
+
+        /// A parsed JSON value. Objects preserve key order.
+        #[derive(Debug, Clone, PartialEq)]
+        pub enum Json {
+            /// `null`.
+            Null,
+            /// `true` / `false`.
+            Bool(bool),
+            /// Any JSON number (always an `f64`).
+            Num(f64),
+            /// A string.
+            Str(String),
+            /// An array.
+            Arr(Vec<Json>),
+            /// An object, in source order.
+            Obj(Vec<(String, Json)>),
+        }
+
+        /// The deepest array/object nesting [`parse_json`] accepts. Request
+        /// frames nest about six deep; the bound keeps the recursive parser's
+        /// stack use fixed whatever a client sends.
+        const MAX_NESTING: usize = 64;
+
+        /// Parses one JSON document (trailing whitespace allowed).
+        ///
+        /// # Errors
+        ///
+        /// Returns a [`WireError`] describing the first syntax problem, including
+        /// arrays and objects nested deeper than 64 levels.
+        pub fn parse_json(input: &str) -> Result<Json, WireError> {
+            let bytes = input.as_bytes();
+            let mut pos = 0;
+            let value = parse_value(bytes, &mut pos, 0)?;
+            skip_ws(bytes, &mut pos);
+            if pos != bytes.len() {
+                return Err(err(format!("trailing input at byte {pos}")));
+            }
+            Ok(value)
+        }
+
+        fn skip_ws(bytes: &[u8], pos: &mut usize) {
+            while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
+                *pos += 1;
+            }
+        }
+
+        /// Parses the value at `pos`, which sits inside `depth` enclosing arrays
+        /// and objects.
+        fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, WireError> {
+            skip_ws(bytes, pos);
+            match bytes.get(*pos) {
+                None => Err(err("unexpected end of input")),
+                Some(b'{' | b'[') if depth >= MAX_NESTING => Err(err(format!(
+                    "nesting deeper than {MAX_NESTING} levels at byte {pos}",
+                    pos = *pos
+                ))),
+                Some(b'{') => parse_object(bytes, pos, depth + 1),
+                Some(b'[') => parse_array(bytes, pos, depth + 1),
+                Some(b'"') => Ok(Json::Str(parse_string(bytes, pos)?)),
+                Some(b't') => parse_literal(bytes, pos, "true", Json::Bool(true)),
+                Some(b'f') => parse_literal(bytes, pos, "false", Json::Bool(false)),
+                Some(b'n') => parse_literal(bytes, pos, "null", Json::Null),
+                Some(_) => parse_number(bytes, pos),
+            }
+        }
+
+        fn parse_literal(
+            bytes: &[u8],
+            pos: &mut usize,
+            word: &str,
+            value: Json,
+        ) -> Result<Json, WireError> {
+            if bytes[*pos..].starts_with(word.as_bytes()) {
+                *pos += word.len();
+                Ok(value)
+            } else {
+                Err(err(format!("expected `{word}` at byte {pos}", pos = *pos)))
+            }
+        }
+
+        fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, WireError> {
+            let start = *pos;
+            while *pos < bytes.len()
+                && matches!(bytes[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
+            {
+                *pos += 1;
+            }
+            let text = std::str::from_utf8(&bytes[start..*pos]).expect("numeric bytes are ASCII");
+            text.parse::<f64>()
+                .map(Json::Num)
+                .map_err(|_| err(format!("invalid number `{text}` at byte {start}")))
+        }
+
+        fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, WireError> {
+            debug_assert_eq!(bytes[*pos], b'"');
+            *pos += 1;
+            let mut out = String::new();
+            loop {
+                match bytes.get(*pos) {
+                    None => return Err(err("unterminated string")),
+                    Some(b'"') => {
+                        *pos += 1;
+                        return Ok(out);
+                    }
+                    Some(b'\\') => {
+                        *pos += 1;
+                        match bytes.get(*pos) {
+                            Some(b'"') => out.push('"'),
+                            Some(b'\\') => out.push('\\'),
+                            Some(b'/') => out.push('/'),
+                            Some(b'n') => out.push('\n'),
+                            Some(b't') => out.push('\t'),
+                            Some(b'r') => out.push('\r'),
+                            Some(b'b') => out.push('\u{8}'),
+                            Some(b'f') => out.push('\u{c}'),
+                            Some(b'u') => {
+                                let hex = bytes
+                                    .get(*pos + 1..*pos + 5)
+                                    .ok_or_else(|| err("truncated \\u escape"))?;
+                                let code = u32::from_str_radix(
+                                    std::str::from_utf8(hex).map_err(|_| err("bad \\u escape"))?,
+                                    16,
+                                )
+                                .map_err(|_| err("bad \\u escape"))?;
+                                out.push(
+                                    char::from_u32(code)
+                                        .ok_or_else(|| err("bad \\u code point"))?,
+                                );
+                                *pos += 4;
+                            }
+                            _ => return Err(err("bad escape sequence")),
+                        }
+                        *pos += 1;
+                    }
+                    Some(_) => {
+                        // Consume the whole run of plain characters up to the
+                        // next quote or backslash in one step, validating UTF-8
+                        // once per run. (Per-character validation of the entire
+                        // remaining input made string parsing quadratic — fatal
+                        // on multi-megabyte response lines.)
+                        let start = *pos;
+                        while *pos < bytes.len() && !matches!(bytes[*pos], b'"' | b'\\') {
+                            *pos += 1;
+                        }
+                        let run = std::str::from_utf8(&bytes[start..*pos])
+                            .map_err(|_| err("invalid UTF-8 in string"))?;
+                        out.push_str(run);
+                    }
+                }
+            }
+        }
+
+        fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, WireError> {
+            *pos += 1; // consume '['
+            let mut items = Vec::new();
+            skip_ws(bytes, pos);
+            if bytes.get(*pos) == Some(&b']') {
+                *pos += 1;
+                return Ok(Json::Arr(items));
+            }
+            loop {
+                items.push(parse_value(bytes, pos, depth)?);
+                skip_ws(bytes, pos);
+                match bytes.get(*pos) {
+                    Some(b',') => *pos += 1,
+                    Some(b']') => {
+                        *pos += 1;
+                        return Ok(Json::Arr(items));
+                    }
+                    _ => return Err(err("expected `,` or `]` in array")),
+                }
+            }
+        }
+
+        fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, WireError> {
+            *pos += 1; // consume '{'
+            let mut members = Vec::new();
+            skip_ws(bytes, pos);
+            if bytes.get(*pos) == Some(&b'}') {
+                *pos += 1;
+                return Ok(Json::Obj(members));
+            }
+            loop {
+                skip_ws(bytes, pos);
+                if bytes.get(*pos) != Some(&b'"') {
+                    return Err(err("expected string key in object"));
+                }
+                let key = parse_string(bytes, pos)?;
+                skip_ws(bytes, pos);
+                if bytes.get(*pos) != Some(&b':') {
+                    return Err(err("expected `:` after object key"));
+                }
+                *pos += 1;
+                let value = parse_value(bytes, pos, depth)?;
+                members.push((key, value));
+                skip_ws(bytes, pos);
+                match bytes.get(*pos) {
+                    Some(b',') => *pos += 1,
+                    Some(b'}') => {
+                        *pos += 1;
+                        return Ok(Json::Obj(members));
+                    }
+                    _ => return Err(err("expected `,` or `}` in object")),
+                }
+            }
+        }
+    }
+
+    /// Whether `new` and `old` are the same tree: numbers by their bits,
+    /// keys and strings by their text.
+    fn same_tree(new: &Json, old: &reference::Json) -> bool {
+        match (new, old) {
+            (Json::Null, reference::Json::Null) => true,
+            (Json::Bool(a), reference::Json::Bool(b)) => a == b,
+            (Json::Num(a), reference::Json::Num(b)) => a.to_bits() == b.to_bits(),
+            (Json::Str(a), reference::Json::Str(b)) => a == b,
+            (Json::Arr(a), reference::Json::Arr(b)) => {
+                a.len() == b.len() && a.iter().zip(b).all(|(x, y)| same_tree(x, y))
+            }
+            (Json::Obj(a), reference::Json::Obj(b)) => {
+                a.len() == b.len()
+                    && a.iter()
+                        .zip(b)
+                        .all(|((kx, x), (ky, y))| kx == ky.as_str() && same_tree(x, y))
+            }
+            _ => false,
+        }
+    }
+
+    /// Parses `input` with both parsers: the same tree (and the same
+    /// `{:?}`) or the same error message. Returns whether it parsed.
+    fn assert_parsers_agree(input: &str) -> bool {
+        match (parse_json(input), reference::parse_json(input)) {
+            (Ok(new), Ok(old)) => {
+                assert!(same_tree(&new, &old), "trees differ for {input:?}");
+                assert_eq!(format!("{new:?}"), format!("{old:?}"), "for {input:?}");
+                true
+            }
+            (Err(new), Err(old)) => {
+                assert_eq!(new.message, old.message, "for {input:?}");
+                false
+            }
+            (new, old) => panic!("parsers disagree on {input:?}: {new:?} against {old:?}"),
+        }
+    }
+
+    /// Object keys and strings as JSON source text: inline and boxed
+    /// lengths (0, 23, 24 and more bytes), escapes, `\u` forms valid and
+    /// not, and non-ASCII text.
+    const STRINGS: &[&str] = &[
+        "",
+        "n",
+        "mean_cost",
+        "error_probability",
+        "cancelled_on_disconnect",
+        "cancelled_on_disconnect_",
+        "a key well past the twenty-three inline bytes",
+        "é",
+        "ключ",
+        "✓✓✓✓✓✓✓✓",
+        "✓✓✓✓✓✓✓ab",
+        "\\u00e9",
+        "\\u00E9x",
+        "\\u0001",
+        "\\ud800",
+        "\\u12",
+        "\\uZZZZ",
+        "\\\"quoted\\\"",
+        "tab\\there\\n",
+        "\\/\\b\\f\\r",
+        "\\x",
+        "cancelled_on_disconnec\\u0074",
+    ];
+
+    /// Numbers as source text, in every form the grammar allows and some
+    /// it does not.
+    const NUMBERS: &[&str] = &[
+        "0",
+        "-0",
+        "1",
+        "-1",
+        "0.1",
+        "1e400",
+        "-1e400",
+        "1e-400",
+        ".5",
+        "5.",
+        "+1",
+        "1e",
+        "--1",
+        "1E5",
+        "1e+5",
+        "1.0e-35",
+        "2.0000000000000004",
+        "12.600000000000001",
+        "5e-324",
+        "1.7976931348623157e308",
+        "1.2.3",
+        "-",
+        "0x10",
+        "007",
+        "1e5e5",
+    ];
+
+    /// Bare words: the literals, their truncations and non-JSON words.
+    const WORDS: &[&str] = &[
+        "true", "false", "null", "tru", "nul", "fals", "NaN", "inf", "x",
+    ];
+
+    const SPACES: &[&str] = &["", "", "", " ", "\t", "\n", "\r", "  "];
+
+    fn pick<'a>(rng: &mut StdRng, items: &[&'a str]) -> &'a str {
+        items[rng.gen_range(0..items.len())]
+    }
+
+    /// Appends one random JSON value (often valid, sometimes not) of at
+    /// most `depth` further levels of nesting.
+    fn random_value(rng: &mut StdRng, depth: usize, out: &mut String) {
+        out.push_str(pick(rng, SPACES));
+        match rng.gen_range(0..if depth == 0 { 4u32 } else { 6 }) {
+            0 => {
+                out.push('"');
+                random_text(rng, out);
+                out.push('"');
+            }
+            1 => match rng.gen_range(0..3u32) {
+                0 => out.push_str(pick(rng, NUMBERS)),
+                1 => out.push_str(&format!("{:?}", f64::from_bits(rng.next_u64()))),
+                _ => out.push_str(&format!("{:e}", rng.gen::<f64>() * 1e6)),
+            },
+            2 => out.push_str(pick(rng, WORDS)),
+            3 => out.push_str(&rng.gen_range(0..100_000u64).to_string()),
+            4 => {
+                out.push('[');
+                for k in 0..rng.gen_range(0..5usize) {
+                    if k > 0 {
+                        out.push(',');
+                    }
+                    random_value(rng, depth - 1, out);
+                }
+                out.push_str(pick(rng, SPACES));
+                out.push(']');
+            }
+            _ => {
+                out.push('{');
+                for k in 0..rng.gen_range(0..5usize) {
+                    if k > 0 {
+                        out.push(',');
+                    }
+                    out.push_str(pick(rng, SPACES));
+                    out.push('"');
+                    random_text(rng, out);
+                    out.push('"');
+                    out.push_str(pick(rng, SPACES));
+                    out.push(':');
+                    random_value(rng, depth - 1, out);
+                }
+                out.push_str(pick(rng, SPACES));
+                out.push('}');
+            }
+        }
+        out.push_str(pick(rng, SPACES));
+    }
+
+    /// Appends the inside of a random string: a listed case, random
+    /// ASCII of 0 to 30 bytes, or both.
+    fn random_text(rng: &mut StdRng, out: &mut String) {
+        if rng.gen_bool(0.5) {
+            out.push_str(pick(rng, STRINGS));
+        }
+        if rng.gen_bool(0.5) {
+            for _ in 0..rng.gen_range(0..31usize) {
+                out.push(char::from(b'a' + rng.gen_range(0..26u32) as u8));
+            }
+        }
+    }
+
+    /// Fragments spliced into documents: escapes, structure and number
+    /// forms.
+    const SPLICES: &[&str] = &[
+        "\\u00e9", "\\u", "\\uZZZZ", "\\ud800", "\\", "\"", "{", "[", "]", "}", ",", ":", "1e400",
+        ".5", "--1", "-0", "é", "\u{1}", " ",
+    ];
+
+    /// `doc` with one random edit: a truncation, a replaced or deleted
+    /// character, or a spliced fragment. Edits stay on char boundaries,
+    /// so the result is still a `str`.
+    fn mutate(rng: &mut StdRng, doc: &str) -> String {
+        let boundaries: Vec<usize> = doc
+            .char_indices()
+            .map(|(i, _)| i)
+            .chain([doc.len()])
+            .collect();
+        let at = boundaries[rng.gen_range(0..boundaries.len())];
+        let next = doc[at..].chars().next().map_or(at, |c| at + c.len_utf8());
+        match rng.gen_range(0..4u32) {
+            0 => doc[..at].to_owned(),
+            1 => format!("{}{}{}", &doc[..at], pick(rng, SPLICES), &doc[next..]),
+            2 => format!("{}{}", &doc[..at], &doc[next..]),
+            _ => format!("{}{}{}", &doc[..at], pick(rng, SPLICES), &doc[at..]),
+        }
+    }
+
+    #[test]
+    fn the_parser_agrees_with_the_string_key_reference() {
+        // Every response variant, whole and cut at every char boundary.
+        for response in every_response_variant() {
+            let line = response.to_line();
+            assert_parsers_agree(&line);
+            for (at, _) in line.char_indices() {
+                assert_parsers_agree(&line[..at]);
+            }
+        }
+        // Each listed key, string and number alone and in place.
+        for text in STRINGS {
+            assert_parsers_agree(&format!("\"{text}\""));
+            assert_parsers_agree(&format!("{{\"{text}\":[\"{text}\"]}}"));
+        }
+        for number in NUMBERS {
+            assert_parsers_agree(number);
+            assert_parsers_agree(&format!("{{\"n\":{number}}}"));
+            assert_parsers_agree(&format!("[{number},{number}]"));
+        }
+        // Nesting up to, at and past the cap, arrays and objects mixed.
+        for depth in [MAX_NESTING - 1, MAX_NESTING, MAX_NESTING + 1, 1000] {
+            assert_parsers_agree(&format!("{}{}", "[".repeat(depth), "]".repeat(depth)));
+            assert_parsers_agree(&format!(
+                "{}1{}",
+                "{\"a\":".repeat(depth),
+                "}".repeat(depth)
+            ));
+            assert_parsers_agree(&format!(
+                "{}null{}",
+                "[{\"k\":".repeat(depth / 2),
+                "}]".repeat(depth / 2)
+            ));
+        }
+        // Random documents and random edits of them and of the answers.
+        let answers: Vec<String> = every_response_variant()
+            .iter()
+            .map(WireResponse::to_line)
+            .collect();
+        let mut rng = StdRng::seed_from_u64(0x0b1e_c75e);
+        let (mut parsed, mut refused) = (0, 0);
+        for round in 0..3000 {
+            let mut doc = String::new();
+            random_value(&mut rng, 4, &mut doc);
+            let mut inputs = vec![doc.clone()];
+            for _ in 0..4 {
+                doc = mutate(&mut rng, &doc);
+                inputs.push(doc.clone());
+            }
+            let mut answer = answers[round % answers.len()].clone();
+            for _ in 0..3 {
+                answer = mutate(&mut rng, &answer);
+                inputs.push(answer.clone());
+            }
+            for input in &inputs {
+                if assert_parsers_agree(input) {
+                    parsed += 1;
+                } else {
+                    refused += 1;
+                }
+            }
+        }
+        // Both outcomes must be well represented, or the comparison
+        // would show little.
+        assert!(
+            parsed > 3000 && refused > 3000,
+            "{parsed} parsed, {refused} refused"
+        );
+    }
+
+    #[test]
+    fn keys_of_up_to_23_bytes_are_inline_and_read_like_strings() {
+        assert_eq!(std::mem::size_of::<Key>(), 24);
+        let text = "cancelled_on_disconnect_and_more_é✓";
+        for (end, _) in text.char_indices().chain([(text.len(), ' ')]) {
+            let s = &text[..end];
+            for key in [Key::from(s), Key::from(s.to_owned())] {
+                assert_eq!(matches!(key.0, KeyRepr::Inline(..)), s.len() <= 23, "{s}");
+                assert_eq!(key.as_str(), s);
+                assert_eq!(&*key, s);
+                assert!(key == *s);
+                assert_eq!(key, Key::from(s));
+                assert_eq!(format!("{key:?}"), format!("{:?}", s.to_owned()));
+            }
+        }
+        assert_ne!(Key::from("n"), Key::from("r"));
+        assert_ne!(Key::from(text), Key::from(&text[1..]));
+    }
+
+    #[test]
+    fn escaped_text_matches_the_encoder() {
+        let awkward = "q\"1\\a\nb\u{1}\t\r\u{1f}\u{7f} é ✓";
+        let mut pushed = String::new();
+        push_escaped(&mut pushed, awkward);
+        assert_eq!(Escaped(awkward).to_string(), pushed);
+        assert_eq!(pushed, "q\\\"1\\\\a\\nb\\u0001\\t\\r\\u001f\u{7f} é ✓");
     }
 }

@@ -20,7 +20,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use zeroconf_engine::wire::WIRE_VERSION;
+use zeroconf_engine::wire::{Escaped, WIRE_VERSION};
 
 use crate::conn::MAX_LINE_BYTES;
 use zeroconf_engine::{EngineStats, PipelineStats};
@@ -80,22 +80,6 @@ pub struct ConnMetrics {
     pub bytes_out: u64,
 }
 
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Everything a `stats` response snapshots, gathered by the handler.
 pub struct StatsSnapshot<'a> {
     /// The connection's id (the `conn` half of `conn_id:wire_id`).
@@ -130,7 +114,7 @@ pub fn stats_response_line(id: &str, snapshot: &StatsSnapshot<'_>) -> String {
          \"requests\":{},\"responses\":{},\"cancelled_on_disconnect\":{},\"inflight_budget\":{}}},\
          \"engine\":{{\"requests\":{},\"cells\":{},\"cache_hits\":{},\"cache_misses\":{},\"cache_len\":{},\
          \"kernel_backend\":\"{}\",\"dist_backend\":\"{}\"}}}}}}",
-        escape(id),
+        Escaped(id),
         snapshot.conn_id,
         c.requests,
         c.responses,
@@ -232,6 +216,20 @@ mod tests {
         assert_eq!(
             stats.get("engine").unwrap().get("cache_hits"),
             Some(&zeroconf_engine::wire::Json::Num(10.0))
+        );
+    }
+
+    #[test]
+    fn stats_line_escapes_its_id_like_every_wire_line() {
+        let server = ServerMetrics::default();
+        let id = "q\"1\\a\nb\u{1}";
+        let line = stats_response_line(id, &snapshot(&server));
+        let prefix = format!("{{\"v\":{WIRE_VERSION},\"id\":\"q\\\"1\\\\a\\nb\\u0001\",\"stats\":");
+        assert!(line.starts_with(&prefix), "{line}");
+        let parsed = zeroconf_engine::wire::parse_json(&line).unwrap();
+        assert_eq!(
+            parsed.get("id"),
+            Some(&zeroconf_engine::wire::Json::Str(id.to_owned()))
         );
     }
 

@@ -83,6 +83,26 @@ fn number(response: &Response, path: &[&str]) -> f64 {
         .unwrap_or_else(|| panic!("missing number at {path:?} in {}", response.line))
 }
 
+/// Polls the connection's own `stats` until `count` of its requests are
+/// admitted and unanswered.
+fn wait_for_pending(client: &mut Client, count: usize) {
+    let end = Instant::now() + DEADLINE;
+    for poll in 0.. {
+        let stats = client
+            .stats(&format!("pending{poll}"))
+            .expect("stats response");
+        if number(&stats, &["stats", "conn", "pending"]) == count as f64 {
+            return;
+        }
+        assert!(
+            Instant::now() < end,
+            "{count} requests never pending: {}",
+            stats.line
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+}
+
 #[test]
 fn four_concurrent_clients_share_one_warm_engine() {
     let server = TestServer::start(8, 16);
@@ -141,16 +161,17 @@ fn four_concurrent_clients_share_one_warm_engine() {
 fn mid_flight_disconnect_cancels_only_that_connection() {
     let server = TestServer::start(4, 16);
 
-    // The victim pipelines a long sweep plus a rescore held back behind
-    // it, then vanishes without reading anything.
+    // The victim pipelines a sweep that takes seconds plus a rescore
+    // held back behind it, waits until both are admitted, then vanishes
+    // without reading any answer.
     let mut victim = server.connect();
     victim
-        .send_raw(&testkit::heavy_sweep_line("doomed", 64, 8000))
+        .send_raw(&testkit::slow_sweep_line("doomed", 0))
         .expect("send doomed sweep");
     victim
         .send_raw(&testkit::rescore_line("follow", "doomed", 1e9))
         .expect("send follow rescore");
-    std::thread::sleep(Duration::from_millis(300));
+    wait_for_pending(&mut victim, 2);
     drop(victim);
 
     // A survivor connected to the same engine still gets its answer.
@@ -345,12 +366,17 @@ fn lines_sharing_one_id_each_hold_a_budget_permit() {
 
     // A client that vanishes with two same-id tickets running withdraws
     // both: it counts two abandoned requests, not one id. Each sweep
-    // has its own reply-time rate, so each is a cold, slow evaluation
-    // still running when the hangup is seen.
+    // has its own reply-time rates and takes seconds, so both admitted
+    // ones are still running when the hangup is seen; the other four
+    // stay parked behind the exhausted budget.
     let mut quitter = server.connect();
-    for i in 0..6 {
-        let cold = testkit::heavy_sweep_line("y", 24, 600)
-            .replace("\"rate\":10.0", &format!("\"rate\":{}.5", 20 + i));
+    for salt in 0..2 {
+        let cold = testkit::slow_sweep_line("y", 20 + salt);
+        quitter.send_raw(&cold).expect("send quitter sweep");
+    }
+    wait_for_pending(&mut quitter, 2);
+    for salt in 2..6 {
+        let cold = testkit::slow_sweep_line("y", 20 + salt);
         quitter.send_raw(&cold).expect("send quitter sweep");
     }
     drop(quitter);
